@@ -101,7 +101,7 @@ FLEET OPTIONS:
                       cap + queue are shed with a reason (default: enough
                       for everyone)
   --slice <E>         engine events per tenant per round (default 16)
-  --migrate           force every suspension through the parsched-snap/v1
+  --migrate           force every suspension through the parsched-snap/v2
                       text codec, as a cross-host migration would
   --jobs <N>          shard-pool workers (0 = auto). Wall clock only:
                       output is byte-identical for every N
@@ -197,6 +197,19 @@ impl Flags {
             .find(|(k, _)| k == key)
             .and_then(|(_, v)| v.parse().ok())
             .unwrap_or(default)
+    }
+
+    /// A flag that must be a finite number > 0 (processor counts, speeds,
+    /// loads): a bad value is an error before anything runs, never a
+    /// silent default or a NaN handed to the engine.
+    fn get_positive(&self, key: &str, default: f64) -> Result<f64, String> {
+        let Some(raw) = self.get_str(key) else {
+            return Ok(default);
+        };
+        match raw.parse::<f64>() {
+            Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
+            _ => Err(format!("--{key} must be a finite number > 0, got '{raw}'")),
+        }
     }
 
     fn opts(&self) -> ExpOptions {
@@ -308,11 +321,11 @@ fn cmd_compare(flags: &Flags) -> Result<(), String> {
     use parsched_sim::simulate;
     use parsched_workloads::random::{AlphaDist, PoissonWorkload, SizeDist};
 
-    let m = flags.get_f64("m", 8.0);
+    let m = flags.get_positive("m", 8.0)?;
     let p = flags.get_f64("p", 64.0);
     let alpha = flags.get_f64("alpha", 0.5);
     let n = flags.get_f64("n", 300.0) as usize;
-    let load = flags.get_f64("load", 0.9);
+    let load = flags.get_positive("load", 0.9)?;
     let sizes = SizeDist::LogUniform { p };
     let w = PoissonWorkload {
         n,
@@ -368,8 +381,8 @@ fn cmd_gen(flags: &Flags) -> Result<(), String> {
         .map(|(_, v)| v.as_str())
         .unwrap_or("poisson");
     let n = flags.get_f64("n", 200.0) as usize;
-    let m = flags.get_f64("m", 8.0);
-    let load = flags.get_f64("load", 0.9);
+    let m = flags.get_positive("m", 8.0)?;
+    let load = flags.get_positive("load", 0.9)?;
     let alpha = flags.get_f64("alpha", 0.5);
     let p = flags.get_f64("p", 32.0);
     let instance = match kind {
@@ -429,8 +442,8 @@ fn cmd_run_stream(flags: &Flags) -> Result<(), String> {
         .map(|(_, v)| v.as_str())
         .unwrap_or("poisson");
     let n = flags.get_f64("n", 100_000.0) as usize;
-    let m = flags.get_f64("m", 8.0);
-    let load = flags.get_f64("load", 0.9);
+    let m = flags.get_positive("m", 8.0)?;
+    let load = flags.get_positive("load", 0.9)?;
     let alpha = flags.get_f64("alpha", 0.5);
     let p = flags.get_f64("p", 64.0);
     let policy_kind: PolicyKind = flags
@@ -440,7 +453,7 @@ fn cmd_run_stream(flags: &Flags) -> Result<(), String> {
         .map(|(_, v)| v.as_str())
         .unwrap_or("isrpt")
         .parse()?;
-    let speed = flags.get_f64("speed", 1.0);
+    let speed = flags.get_positive("speed", 1.0)?;
     let audit: AuditLevel = flags
         .named
         .iter()
@@ -566,8 +579,8 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
         .map(|(_, v)| v.as_str())
         .unwrap_or("isrpt")
         .parse()?;
-    let m = flags.get_f64("m", 8.0);
-    let speed = flags.get_f64("speed", 1.0);
+    let m = flags.get_positive("m", 8.0)?;
+    let speed = flags.get_positive("speed", 1.0)?;
     let audit: AuditLevel = flags
         .named
         .iter()
@@ -693,9 +706,9 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
     use parsched::PolicyKind;
     use parsched_bench::{
         mixed_alpha_fixture, overload_fixture, poisson_fixture, poisson_stream_fixture,
-        timed_audited_run, timed_run, timed_run_cfg, timed_streaming_run,
+        timed_audited_run, timed_run, timed_streaming_run,
     };
-    use parsched_sim::{AllocationStability, AuditLevel, EngineConfig, EventQueueKind};
+    use parsched_sim::{AllocationStability, AuditLevel};
 
     struct Row {
         policy: String,
@@ -755,6 +768,30 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
     ];
 
     let mut rows: Vec<Row> = Vec::new();
+    // Prints one measured row to stderr and records it.
+    let mut record = |policy: String,
+                      fixture: &'static str,
+                      mode: &'static str,
+                      n: usize,
+                      (events, seconds, events_per_sec): (u64, f64, f64)| {
+        eprintln!("  {policy:<22} n={n:<7} {mode:<15} {events_per_sec:>12.0} events/s ({fixture})");
+        rows.push(Row {
+            policy,
+            fixture,
+            mode,
+            n,
+            m,
+            events,
+            seconds,
+            events_per_sec,
+        });
+    };
+    let isrpt = || "Intermediate-SRPT".to_string();
+    let sample = |s: parsched_bench::SnapshotSample| (s.events, s.seconds, s.events_per_sec);
+    let isrpt_run = |inst: &parsched_sim::Instance, full_reassign: bool| {
+        let mut policy = PolicyKind::IntermediateSrpt.build();
+        sample(timed_run(inst, policy.as_mut(), m, full_reassign))
+    };
     for &n in sizes {
         let inst = poisson_fixture(n, 0.9, m);
         for kind in &kinds {
@@ -764,75 +801,7 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
                 AllocationStability::General => "exhaustive",
             };
             let s = timed_run(&inst, policy.as_mut(), m, false);
-            eprintln!(
-                "  {:<22} n={n:<7} {mode:<11} {:>12.0} events/s",
-                kind.name(),
-                s.events_per_sec
-            );
-            rows.push(Row {
-                policy: kind.name(),
-                fixture: "poisson-0.9",
-                mode,
-                n,
-                m,
-                events: s.events,
-                seconds: s.seconds,
-                events_per_sec: s.events_per_sec,
-            });
-        }
-        // Fast-loop control arm: the incremental rows above run the
-        // monomorphized fast event loop (the default); this row pins the
-        // same binary, engine, and fixture with `fast_loop` off, so the
-        // row pair differences exactly the dispatch and bookkeeping the
-        // specialization removes (docs/PERF.md §8).
-        {
-            let mut policy = PolicyKind::IntermediateSrpt.build();
-            let s = timed_run_cfg(
-                &inst,
-                policy.as_mut(),
-                EngineConfig::new(m).with_fast_loop(false),
-            );
-            eprintln!(
-                "  {:<22} n={n:<7} {:<11} {:>12.0} events/s",
-                "Intermediate-SRPT", "generic-loop", s.events_per_sec
-            );
-            rows.push(Row {
-                policy: "Intermediate-SRPT".to_string(),
-                fixture: "poisson-0.9",
-                mode: "generic-loop",
-                n,
-                m,
-                events: s.events,
-                seconds: s.seconds,
-                events_per_sec: s.events_per_sec,
-            });
-        }
-        // Kernel A/B baseline arm: identical engine and fixture, but jobs
-        // admitted with the `powf_reference` kernel so every Γ evaluation
-        // pays the per-call `powf` cost the classified kernel replaced.
-        // The incremental-row / this-row ratio at n = 100_000 is the
-        // `kernel_speedup_n1e5` headline field.
-        {
-            let mut policy = PolicyKind::IntermediateSrpt.build();
-            let s = timed_run_cfg(
-                &inst,
-                policy.as_mut(),
-                EngineConfig::new(m).with_pow_kernel(false),
-            );
-            eprintln!(
-                "  {:<22} n={n:<7} {:<11} {:>12.0} events/s",
-                "Intermediate-SRPT", "powf-baseline", s.events_per_sec
-            );
-            rows.push(Row {
-                policy: "Intermediate-SRPT".to_string(),
-                fixture: "poisson-0.9",
-                mode: "powf-baseline",
-                n,
-                m,
-                events: s.events,
-                seconds: s.seconds,
-                events_per_sec: s.events_per_sec,
-            });
+            record(kind.name(), "poisson-0.9", mode, n, sample(s));
         }
         // Streaming path on the same fixture: same event loop, free-list
         // arena and constant-size sink instead of growing vectors — its
@@ -841,20 +810,8 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
             let mut src = poisson_stream_fixture(n, 0.9, m);
             let mut policy = PolicyKind::IntermediateSrpt.build();
             let s = timed_streaming_run(&mut src, policy.as_mut(), m, AuditLevel::Off);
-            eprintln!(
-                "  {:<22} n={n:<7} {:<11} {:>12.0} events/s",
-                "Intermediate-SRPT", "streaming", s.events_per_sec
-            );
-            rows.push(Row {
-                policy: "Intermediate-SRPT".to_string(),
-                fixture: "poisson-0.9",
-                mode: "streaming",
-                n,
-                m,
-                events: s.events,
-                seconds: s.seconds,
-                events_per_sec: s.events_per_sec,
-            });
+            let s = (s.events, s.seconds, s.events_per_sec);
+            record(isrpt(), "poisson-0.9", "streaming", n, s);
         }
         // Audit-layer overhead: the same fixture and policy with the
         // invariant auditor at its sampled (production) and strict
@@ -867,144 +824,28 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
             ] {
                 let mut policy = PolicyKind::IntermediateSrpt.build();
                 let s = timed_audited_run(&inst, policy.as_mut(), m, level);
-                eprintln!(
-                    "  {:<22} n={n:<7} {mode:<11} {:>12.0} events/s",
-                    "Intermediate-SRPT", s.events_per_sec
-                );
-                rows.push(Row {
-                    policy: "Intermediate-SRPT".to_string(),
-                    fixture: "poisson-0.9",
-                    mode,
-                    n,
-                    m,
-                    events: s.events,
-                    seconds: s.seconds,
-                    events_per_sec: s.events_per_sec,
-                });
+                record(isrpt(), "poisson-0.9", mode, n, sample(s));
             }
         }
         // Legacy oracle (full reassignment every event) for the headline
-        // speed-up ratio. Quadratic per run, so cap it at n = 10_000.
+        // speed-up ratios. Quadratic per run, so cap it at n = 10_000.
         if n <= 10_000 {
-            let mut policy = PolicyKind::IntermediateSrpt.build();
-            let s = timed_run(&inst, policy.as_mut(), m, true);
-            eprintln!(
-                "  {:<22} n={n:<7} {:<11} {:>12.0} events/s",
-                "Intermediate-SRPT", "legacy", s.events_per_sec
-            );
-            rows.push(Row {
-                policy: "Intermediate-SRPT".to_string(),
-                fixture: "poisson-0.9",
-                mode: "legacy",
-                n,
-                m,
-                events: s.events,
-                seconds: s.seconds,
-                events_per_sec: s.events_per_sec,
-            });
+            record(isrpt(), "poisson-0.9", "legacy", n, isrpt_run(&inst, true));
         }
         // Mixed-α fixture: per-job α from {0.25, 0.5, 0.75, 0.37}, the
         // workload that actually drives the multi-class Scan path (class
         // registry + per-class Γ rate cache + grouped gamma_by_class).
-        // Single-α fixtures collapse to one kernel class.
-        {
-            let mixed = mixed_alpha_fixture(n, 0.9, m);
-            let mut policy = PolicyKind::IntermediateSrpt.build();
-            let s = timed_run(&mixed, policy.as_mut(), m, false);
-            eprintln!(
-                "  {:<22} n={n:<7} {:<11} {:>12.0} events/s (mixed-alpha)",
-                "Intermediate-SRPT", "incremental", s.events_per_sec
-            );
-            rows.push(Row {
-                policy: "Intermediate-SRPT".to_string(),
-                fixture: "mixed-alpha-0.9",
-                mode: "incremental",
-                n,
-                m,
-                events: s.events,
-                seconds: s.seconds,
-                events_per_sec: s.events_per_sec,
-            });
+        // Single-α fixtures collapse to one kernel class. Overload-heavy
+        // fixture: the alive set grows ~linearly with n, so this is where
+        // the O(n) vs O(log n) per-event separation shows.
+        for (fixture, inst) in [
+            ("mixed-alpha-0.9", mixed_alpha_fixture(n, 0.9, m)),
+            ("poisson-1.5", overload_fixture(n, m)),
+        ] {
+            record(isrpt(), fixture, "incremental", n, isrpt_run(&inst, false));
             if n <= 10_000 {
-                let mut policy = PolicyKind::IntermediateSrpt.build();
-                let s = timed_run(&mixed, policy.as_mut(), m, true);
-                eprintln!(
-                    "  {:<22} n={n:<7} {:<11} {:>12.0} events/s (mixed-alpha)",
-                    "Intermediate-SRPT", "legacy", s.events_per_sec
-                );
-                rows.push(Row {
-                    policy: "Intermediate-SRPT".to_string(),
-                    fixture: "mixed-alpha-0.9",
-                    mode: "legacy",
-                    n,
-                    m,
-                    events: s.events,
-                    seconds: s.seconds,
-                    events_per_sec: s.events_per_sec,
-                });
+                record(isrpt(), fixture, "legacy", n, isrpt_run(&inst, true));
             }
-        }
-        // Overload-heavy fixture: the alive set grows ~linearly with n, so
-        // this is where the O(n) vs O(log n) per-event separation shows.
-        let over = overload_fixture(n, m);
-        // Binary-heap control arm for the event queue on the densest
-        // event stream; the default incremental row below is the
-        // calendar arm, so the two rows difference the queue cost.
-        {
-            let mut policy = PolicyKind::IntermediateSrpt.build();
-            let s = timed_run_cfg(
-                &over,
-                policy.as_mut(),
-                EngineConfig::new(m).with_event_queue(EventQueueKind::Heap),
-            );
-            eprintln!(
-                "  {:<22} n={n:<7} {:<11} {:>12.0} events/s (overload)",
-                "Intermediate-SRPT", "heap-queue", s.events_per_sec
-            );
-            rows.push(Row {
-                policy: "Intermediate-SRPT".to_string(),
-                fixture: "poisson-1.5",
-                mode: "heap-queue",
-                n,
-                m,
-                events: s.events,
-                seconds: s.seconds,
-                events_per_sec: s.events_per_sec,
-            });
-        }
-        let mut policy = PolicyKind::IntermediateSrpt.build();
-        let s = timed_run(&over, policy.as_mut(), m, false);
-        eprintln!(
-            "  {:<22} n={n:<7} {:<11} {:>12.0} events/s (overload)",
-            "Intermediate-SRPT", "incremental", s.events_per_sec
-        );
-        rows.push(Row {
-            policy: "Intermediate-SRPT".to_string(),
-            fixture: "poisson-1.5",
-            mode: "incremental",
-            n,
-            m,
-            events: s.events,
-            seconds: s.seconds,
-            events_per_sec: s.events_per_sec,
-        });
-        if n <= 10_000 {
-            let mut policy = PolicyKind::IntermediateSrpt.build();
-            let s = timed_run(&over, policy.as_mut(), m, true);
-            eprintln!(
-                "  {:<22} n={n:<7} {:<11} {:>12.0} events/s (overload)",
-                "Intermediate-SRPT", "legacy", s.events_per_sec
-            );
-            rows.push(Row {
-                policy: "Intermediate-SRPT".to_string(),
-                fixture: "poisson-1.5",
-                mode: "legacy",
-                n,
-                m,
-                events: s.events,
-                seconds: s.seconds,
-                events_per_sec: s.events_per_sec,
-            });
         }
     }
 
@@ -1028,16 +869,6 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
     let speedup = ratio("poisson-0.9");
     let overload_speedup = ratio("poisson-1.5");
     let mixed_alpha_speedup = ratio("mixed-alpha-0.9");
-    // Event-queue A/B on the overload fixture: calendar arm (the default
-    // incremental row) over the binary-heap control arm. ≥ ~1.0 is the
-    // acceptance bar — the calendar must not lag the heap it replaces.
-    let queue_ratio = match (
-        pick_rate("poisson-1.5", "incremental", 10_000),
-        pick_rate("poisson-1.5", "heap-queue", 10_000),
-    ) {
-        (Some(cal), Some(heap)) if heap > 0.0 => cal / heap,
-        _ => f64::NAN,
-    };
     // Audit overhead: unaudited / audited throughput at n = 10_000
     // (≥ 1; the acceptance bar for the sampled level is ≤ 2).
     let audit_overhead = |mode: &str| {
@@ -1062,10 +893,9 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
     // shares spanning (1, m] — the supra-knee domain where the power law
     // actually evaluates — through the classified kernel vs per-call
     // `powf`, best of 7 passes each. This is what the kernel delivers per
-    // call; the *engine-level* effect is the incremental vs powf-baseline
-    // row pair (`kernel_engine_ratio_n1e5` below): Γ evaluations are a
-    // few percent of event cost on these fixtures, so that ratio sits
-    // near 1.0 by design. See docs/PERF.md §6 for the cost model.
+    // call; Γ evaluations are a few percent of event cost on the engine
+    // fixtures, so the engine-level effect sits near 1.0 by design. See
+    // docs/PERF.md §6 for the cost model.
     let (kernel_speedup_n1e5, kernel_eval_ns, powf_eval_ns) = {
         use parsched_speedup::PowKernel;
         let pts = 100_000usize;
@@ -1103,96 +933,28 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
         "  kernel eval: {kernel_eval_ns:.1} ns vs powf {powf_eval_ns:.1} ns \
          ({kernel_speedup_n1e5:.1}x over 10^5 evaluations, α = 0.5)"
     );
-    // Engine-level kernel A/B at n = 100_000 (None in --quick runs, which
-    // stop at n = 10_000).
-    let kernel_engine_ratio_n1e5 = {
-        let pick = |mode: &str| {
-            rows.iter()
-                .find(|r| {
-                    r.policy == "Intermediate-SRPT"
-                        && r.fixture == "poisson-0.9"
-                        && r.mode == mode
-                        && r.n == 100_000
-                })
-                .map(|r| r.events_per_sec)
-        };
-        match (pick("incremental"), pick("powf-baseline")) {
-            (Some(on), Some(off)) if off > 0.0 => Some(on / off),
-            _ => None,
-        }
-    };
-    // Fast-loop A/B: specialized loop over the generic-loop control arm,
-    // same binary and fixture. The one-shot rows above record both arms
-    // for the table, but the headline *ratio* keys are measured here as
-    // an interleaved best-of-5 pair — single-shot wall clocks on a busy
-    // host swing ±20%, and a CI floor needs the stable within-run ratio,
-    // not the difference of two noisy one-shots. The quick-mode key
-    // (`stable_load_fastpath_speedup`, n = 10_000) is what the CI
-    // bench-smoke floor guards; the n = 100_000 key is the full-run
-    // headline (null in --quick).
-    let fastpath_ab = |n: usize| {
-        let inst = poisson_fixture(n, 0.9, m);
-        let mut best_fast = f64::INFINITY;
-        let mut best_generic = f64::INFINITY;
-        for _ in 0..5 {
-            let mut p = PolicyKind::IntermediateSrpt.build();
-            let f = timed_run_cfg(&inst, p.as_mut(), EngineConfig::new(m));
-            let mut p = PolicyKind::IntermediateSrpt.build();
-            let g = timed_run_cfg(
-                &inst,
-                p.as_mut(),
-                EngineConfig::new(m).with_fast_loop(false),
-            );
-            best_fast = best_fast.min(f.seconds);
-            best_generic = best_generic.min(g.seconds);
-        }
-        best_generic / best_fast
-    };
-    let stable_load_fastpath_speedup = Some(fastpath_ab(10_000));
-    let isrpt_fastpath_speedup_n1e5 = if flags.quick {
-        None
-    } else {
-        Some(fastpath_ab(100_000))
-    };
-    if let Some(s) = stable_load_fastpath_speedup {
-        eprintln!(
-            "  fast loop vs generic loop: {s:.2}x at n=10^4{}",
-            isrpt_fastpath_speedup_n1e5
-                .map(|s5| format!(", {s5:.2}x at n=10^5"))
-                .unwrap_or_default()
-        );
-    }
     // Per-phase hot-path profile (`hotpath` builds only): one profiled
-    // pass per arm on the stable n = 10^4 fixture. Stamping costs ~2
-    // clock reads per phase, so these numbers compare phases *between
-    // arms*; the unprofiled rows above are the throughput of record.
+    // pass on the stable n = 10^4 fixture. Stamping costs ~2 clock reads
+    // per phase, so these numbers compare phases with each other; the
+    // unprofiled rows above are the throughput of record.
     #[cfg(feature = "hotpath")]
     let hotpath_ns: Option<String> = {
-        use parsched_sim::{Engine, NullObserver, StaticSource};
+        use parsched_sim::{Engine, EngineConfig, NullObserver, StaticSource};
         let inst = poisson_fixture(10_000, 0.9, m);
-        let profile = |fast: bool| {
-            let cfg = EngineConfig::new(m)
-                .with_fast_loop(fast)
-                .with_hotpath_profile(true);
-            let mut policy = PolicyKind::IntermediateSrpt.build();
-            let mut src = StaticSource::new(&inst);
-            let mut obs = NullObserver;
-            let mut eng = Engine::new(cfg, policy.as_mut(), &mut src, &mut obs);
-            eng.run_loop().expect("profiled run");
-            let hp = eng.hotpath_totals();
-            let (queue, refresh, metrics, dispatch) = hp.per_event();
-            format!(
-                "{{\"queue\": {queue:.1}, \"refresh\": {refresh:.1}, \
-                 \"metrics\": {metrics:.1}, \"dispatch\": {dispatch:.1}, \
-                 \"events\": {}}}",
-                hp.events
-            )
-        };
-        let fast = profile(true);
-        let generic = profile(false);
+        let cfg = EngineConfig::new(m).with_hotpath_profile(true);
+        let mut policy = PolicyKind::IntermediateSrpt.build();
+        let mut src = StaticSource::new(&inst);
+        let mut obs = NullObserver;
+        let mut eng = Engine::new(cfg, policy.as_mut(), &mut src, &mut obs);
+        eng.run_loop().expect("profiled run");
+        let hp = eng.hotpath_totals();
+        let (queue, refresh, metrics, dispatch) = hp.per_event();
         Some(format!(
             "{{\"fixture\": \"poisson-0.9 n=10000\", \"unit\": \"ns/event\", \
-             \"fast\": {fast}, \"generic\": {generic}}}"
+             \"queue\": {queue:.1}, \"refresh\": {refresh:.1}, \
+             \"metrics\": {metrics:.1}, \"dispatch\": {dispatch:.1}, \
+             \"events\": {}}}",
+            hp.events
         ))
     };
     #[cfg(not(feature = "hotpath"))]
@@ -1300,10 +1062,6 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
         mixed_alpha_speedup
     ));
     json.push_str(&format!(
-        "  \"queue_calendar_vs_heap_overload_n10000\": {:.2},\n",
-        queue_ratio
-    ));
-    json.push_str(&format!(
         "  \"audit_sampled_overhead_n10000\": {:.2},\n",
         sampled_overhead
     ));
@@ -1316,24 +1074,6 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
     ));
     json.push_str(&format!("  \"kernel_eval_ns\": {kernel_eval_ns:.2},\n"));
     json.push_str(&format!("  \"powf_eval_ns\": {powf_eval_ns:.2},\n"));
-    json.push_str(&format!(
-        "  \"kernel_engine_ratio_n1e5\": {},\n",
-        kernel_engine_ratio_n1e5
-            .map(|s| format!("{s:.2}"))
-            .unwrap_or_else(|| "null".to_string())
-    ));
-    json.push_str(&format!(
-        "  \"stable_load_fastpath_speedup\": {},\n",
-        stable_load_fastpath_speedup
-            .map(|s| format!("{s:.2}"))
-            .unwrap_or_else(|| "null".to_string())
-    ));
-    json.push_str(&format!(
-        "  \"isrpt_fastpath_speedup_n1e5\": {},\n",
-        isrpt_fastpath_speedup_n1e5
-            .map(|s| format!("{s:.2}"))
-            .unwrap_or_else(|| "null".to_string())
-    ));
     json.push_str(&format!(
         "  \"hotpath_ns\": {},\n",
         hotpath_ns.as_deref().unwrap_or("null")
@@ -1375,16 +1115,11 @@ fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
     println!(
         "wrote {out_path} ({} rows); Intermediate-SRPT incremental/legacy speed-up at \
          n=10_000: {:.1}x (load 0.9), {:.1}x (overload), {:.1}x (mixed-alpha); \
-         fast loop vs generic: {}; calendar/heap queue on overload: {:.2}x; \
          audit overhead: {:.2}x sampled, {:.2}x strict",
         rows.len(),
         speedup,
         overload_speedup,
         mixed_alpha_speedup,
-        stable_load_fastpath_speedup
-            .map(|s| format!("{s:.2}x"))
-            .unwrap_or_else(|| "n/a".to_string()),
-        queue_ratio,
         sampled_overhead,
         strict_overhead
     );

@@ -545,3 +545,69 @@ fn lint_explain_traces_a_reachability_path() {
     // `step` is itself a root, so the shortest witness starts there.
     assert!(text.contains("Engine::step -> grow -> first"), "{text}");
 }
+
+/// Runs `parsched run --instance -` on a small generated instance with
+/// `extra` flags appended.
+fn run_on_stdin_instance(extra: &[&str]) -> std::process::Output {
+    let csv = bin()
+        .args(["gen", "--kind", "poisson", "--n", "10", "--m", "4"])
+        .output()
+        .expect("gen")
+        .stdout;
+    let mut child = bin()
+        .args(["run", "--instance", "-", "--policy", "isrpt"])
+        .args(extra)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn run");
+    use std::io::Write as _;
+    child
+        .stdin
+        .take()
+        .expect("stdin")
+        .write_all(&csv)
+        .expect("write");
+    child.wait_with_output().expect("wait")
+}
+
+fn assert_rejected(out: &std::process::Output, flag: &str, ctx: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{ctx}: stderr {stderr}");
+    assert!(stderr.contains(flag), "{ctx}: {stderr}");
+}
+
+#[test]
+fn bad_processor_count_exits_2() {
+    for bad in ["nan", "0", "-1", "inf", "abc"] {
+        let out = run_on_stdin_instance(&["--m", bad]);
+        assert_rejected(&out, "--m", &format!("run --m {bad}"));
+    }
+    let out = bin()
+        .args(["run", "--stream", "--kind", "poisson", "--n", "1000"])
+        .args(["--policy", "isrpt", "--m", "nan"])
+        .output()
+        .expect("run");
+    assert_rejected(&out, "--m", "run --stream --m nan");
+}
+
+#[test]
+fn bad_speed_exits_2() {
+    for bad in ["0", "nan", "-2"] {
+        let out = run_on_stdin_instance(&["--m", "4", "--speed", bad]);
+        assert_rejected(&out, "--speed", &format!("run --speed {bad}"));
+    }
+}
+
+#[test]
+fn bad_load_exits_2() {
+    for bad in ["nan", "0", "-0.5"] {
+        let out = bin()
+            .args(["run", "--stream", "--kind", "poisson", "--n", "1000"])
+            .args(["--policy", "isrpt", "--load", bad])
+            .output()
+            .expect("run");
+        assert_rejected(&out, "--load", &format!("run --stream --load {bad}"));
+    }
+}

@@ -15,7 +15,7 @@
 //! [`Pool::map_with`] commits results by input index. The fleet therefore
 //! produces **byte-identical** per-tenant results for any worker count.
 //! With [`FleetConfig::migrate`] set, every suspension is additionally
-//! forced through the `parsched-snap/v1` text codec
+//! forced through the `parsched-snap/v2` text codec
 //! ([`Snapshot::to_json`] → [`Snapshot::from_json`]) — the exact document
 //! a real cross-host migration would ship — and the decoded snapshot must
 //! reproduce the original bit-for-bit or the tenant is failed.
@@ -287,21 +287,14 @@ fn run_slice(
             return SliceResult::Failed(format!("restore: {e}"));
         }
     }
-    let mut stepped = 0u64;
-    let mut live = true;
-    while stepped < slice {
-        match engine.step() {
-            Ok(true) => stepped += 1,
-            Ok(false) => {
-                live = false;
-                break;
-            }
-            Err(e) => {
-                *bufs = engine.into_buffers();
-                return SliceResult::Failed(format!("step: {e}"));
-            }
+    let live = match engine.run_until(slice) {
+        // Fewer events than the budget means the run finished.
+        Ok(stepped) => stepped == slice,
+        Err(e) => {
+            *bufs = engine.into_buffers();
+            return SliceResult::Failed(format!("step: {e}"));
         }
-    }
+    };
     if !live {
         // Finished inside the slice: finalize. The streaming finalizer is
         // valid in either mode and its metrics are bit-identical to the

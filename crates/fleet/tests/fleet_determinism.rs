@@ -3,7 +3,7 @@
 //! * a fleet of N tenants produces **byte-identical** per-tenant results
 //!   whatever the shard count (`Pool::new(1)` vs `Pool::new(4)`) and
 //!   whether or not every suspension is forced through a cross-shard
-//!   migration (the `parsched-snap/v1` text codec);
+//!   migration (the `parsched-snap/v2` text codec);
 //! * batched projection queries agree with the heSRPT closed form
 //!   (`parsched_opt::hesrpt_batch_lb`) on batch-release pure-power
 //!   tenants — the one family where an exact external answer exists.

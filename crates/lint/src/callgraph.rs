@@ -21,8 +21,8 @@
 //!
 //! Receiver typing exists because the earlier name-only scheme (`.len(`
 //! links every workspace `len`) manufactured false bridges between
-//! unrelated crates — `CalendarQueue::settle → TrapStreamSource::len`,
-//! `f64::round → FleetSession::round` — flooding the reachability rules.
+//! unrelated crates — e.g. `f64::round → FleetSession::round` — flooding
+//! the reachability rules.
 //! Residual false edges from shared field/param names are accepted: they
 //! only make reachability *larger*, never smaller, which is the safe
 //! direction for deny-by-default rules. Sink matching at call sites stays

@@ -753,7 +753,7 @@ impl<'a> Parser<'a> {
             // `<…>` closes directly onto `(` this classifies exactly like
             // the plain `name(…)` shape below. Without this, const-generic
             // helpers invoked as `self.helper::<true>()` (the engine's
-            // monomorphized fast-loop cores) would fall out of the call
+            // monomorphized event-loop phases) would fall out of the call
             // graph and look unreachable to L007/L008.
             let turbofish_call = next == "::"
                 && i + 2 < self.len()
@@ -960,7 +960,7 @@ mod tests {
         let it = items(
             "fn f(&mut self) {\n\
                  self.admit_core::<true, false, NOTIFY>();\n\
-                 run_fast_loop::<false>();\n\
+                 run_phases::<false>();\n\
                  parse::<Vec<Vec<u8>>>(s);\n\
                  Wrapper::lift::<u32>(x);\n\
                  let small = a < b;\n\
@@ -976,7 +976,7 @@ mod tests {
         assert!(
             f.calls
                 .iter()
-                .any(|c| c.kind.name() == "run_fast_loop" && matches!(&c.kind, CallKind::Plain(_))),
+                .any(|c| c.kind.name() == "run_phases" && matches!(&c.kind, CallKind::Plain(_))),
             "plain turbofish call recorded"
         );
         assert!(
@@ -1010,7 +1010,7 @@ mod tests {
     fn struct_fields_and_enum_variants() {
         let it = items(
             "pub struct Buffers { jobs: JobArena, alive: Vec<usize>, pair: (f64, f64) }\n\
-             enum Queue { Calendar(CalendarQueue), Heap { h: BinaryHeap<u64> } }\n\
+             enum Queue { Ring(RingQueue), Heap { h: BinaryHeap<u64> } }\n\
              struct Unit;\nstruct Tup(f64, u32);\n",
         );
         let b = it.structs.iter().find(|s| s.name == "Buffers").unwrap();
@@ -1021,8 +1021,8 @@ mod tests {
         let q = it.structs.iter().find(|s| s.name == "Queue").unwrap();
         assert!(q.is_enum);
         let vn: Vec<&str> = q.fields.iter().map(|f| f.name.as_str()).collect();
-        assert_eq!(vn, ["Calendar", "Heap"]);
-        assert!(q.fields[0].ty_idents.contains(&"CalendarQueue".to_string()));
+        assert_eq!(vn, ["Ring", "Heap"]);
+        assert!(q.fields[0].ty_idents.contains(&"RingQueue".to_string()));
         assert!(it.structs.iter().any(|s| s.name == "Unit"));
         assert!(it
             .structs

@@ -29,7 +29,6 @@
 
 use parsched_speedup::{Curve, PowKernel, EPS};
 
-use crate::calendar::EventQueue;
 use crate::error::SimError;
 use crate::invariant::{AuditFrame, AuditLevel, Auditor, EnginePath, FinalAccounting, FrameJob};
 use crate::job::{Instance, JobId, JobSpec, Time, Work};
@@ -77,48 +76,13 @@ pub struct EngineConfig {
     /// job retires, and a duplicate of an already-*retired* id is no
     /// longer detected.
     pub streaming: bool,
-    /// Benchmark control: when `false`, power-family jobs are admitted
-    /// with a [`PowKernel::powf_reference`] kernel so every Γ evaluation
-    /// pays the per-call `powf` cost the classified kernel replaced.
-    /// `bench-snapshot` runs the same fixture both ways to compute the
-    /// `kernel_speedup_n1e5` field; everything else leaves this `true`.
-    pub pow_kernel: bool,
-    /// Which future-event ordering structure the incremental path uses
-    /// (see [`crate::calendar`]): the calendar queue tuned to
-    /// near-monotone event times (default), or the conventional binary
-    /// heap kept as a differential control arm. Both arms observe the
-    /// same generation-tagged candidates and pop in the same
-    /// `(time, insertion)` order, so runs are bit-identical across the
-    /// flag — which is exactly what the queue-differential tests check.
-    pub event_queue: EventQueueKind,
-    /// Whether the `run*` finalizers may use the monomorphized fast event
-    /// loop ([`Engine::run_loop`]): a fused dispatch loop for the
-    /// incremental path with the per-event `dyn` calls, admission
-    /// re-validation, and event-queue bookkeeping hoisted out, plus a
-    /// per-`n` memo of the policy's prefix profile. Bit-identical to the
-    /// generic `step()` loop (the differential suite pins this); `false`
-    /// keeps the generic loop as the control arm, like
-    /// [`EngineConfig::with_full_reassign`] does for the exhaustive path.
-    pub fast_loop: bool,
     /// Runtime switch for the per-phase hot-path profiler (only
     /// meaningful when the crate is built with the `hotpath` feature;
-    /// inert otherwise). When on, the event loops accumulate wall-clock
+    /// inert otherwise). When on, the event loop accumulates wall-clock
     /// nanoseconds per phase (queue/refresh/metrics/dispatch) — see
-    /// [`Engine::hotpath_report`]. Leave off for headline measurements:
+    /// `Engine::hotpath_totals`. Leave off for headline measurements:
     /// the timestamping itself costs tens of ns per event.
     pub hotpath_profile: bool,
-}
-
-/// Selector for the engine's future-event queue arm — see
-/// [`EngineConfig::event_queue`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventQueueKind {
-    /// Calendar-queue arm (default): amortized `O(1)` insert/pop on the
-    /// near-monotone event times a forward-running clock produces.
-    Calendar,
-    /// Binary-heap control arm: `O(log n)` per op, kept for
-    /// differential runs.
-    Heap,
 }
 
 impl EngineConfig {
@@ -132,9 +96,6 @@ impl EngineConfig {
             full_reassign: false,
             audit: AuditLevel::Off,
             streaming: false,
-            pow_kernel: true,
-            event_queue: EventQueueKind::Calendar,
-            fast_loop: true,
             hotpath_profile: false,
         }
     }
@@ -176,27 +137,6 @@ impl EngineConfig {
         self
     }
 
-    /// Enables (or, for the benchmark baseline arm, disables) the
-    /// classified power kernel — see [`EngineConfig::pow_kernel`].
-    pub fn with_pow_kernel(mut self, pow_kernel: bool) -> Self {
-        self.pow_kernel = pow_kernel;
-        self
-    }
-
-    /// Selects the future-event queue arm — see
-    /// [`EngineConfig::event_queue`].
-    pub fn with_event_queue(mut self, event_queue: EventQueueKind) -> Self {
-        self.event_queue = event_queue;
-        self
-    }
-
-    /// Enables (or, for the differential control arm, disables) the
-    /// monomorphized fast event loop — see [`EngineConfig::fast_loop`].
-    pub fn with_fast_loop(mut self, fast_loop: bool) -> Self {
-        self.fast_loop = fast_loop;
-        self
-    }
-
     /// Enables the per-phase hot-path profiler — see
     /// [`EngineConfig::hotpath_profile`].
     pub fn with_hotpath_profile(mut self, hotpath_profile: bool) -> Self {
@@ -229,13 +169,6 @@ macro_rules! hp_phase {
         $body
     }};
 }
-
-// The event queue holds only the *arrival timeline*: wakeups whose times
-// come straight from the source, so they are near-monotone and are never
-// re-scheduled once queued (a superseded wakeup has time ≤ now and is
-// discarded from the queue front on the next peek). Interval-completion
-// candidates stay in a plain field — they are recomputed by every profile
-// refresh, and queueing them would only pile up stale future-time entries.
 
 /// An owned snapshot of one alive job (used by lockstep analyses that hold
 /// snapshots of two engines simultaneously).
@@ -288,7 +221,7 @@ struct JobArena {
     /// and `powf` (see [`PowKernel`]). A placeholder for curves outside
     /// the power-law family (`class == CLASS_CURVE`), which keep the
     /// generic path.
-    // lint:allow(L009) kern lane is reconstructed bit-identically from each curve and the pow_kernel flag on restore (snapshot.rs module docs)
+    // lint:allow(L009) kern lane is reconstructed bit-identically from each curve on restore (snapshot.rs module docs)
     kern: Vec<PowKernel>,
     /// Kernel-class registry index, or one of the sentinels above. Jobs
     /// of one class share bit-identical kernels, so a Scan interval needs
@@ -299,8 +232,7 @@ struct JobArena {
     done: Vec<bool>,
     /// Kernel-class registry: one representative kernel per distinct α
     /// seen this run (same α ⇒ bit-identical kernel, since construction
-    /// is deterministic in α and the reference/classified choice is
-    /// per-run constant).
+    /// is deterministic in α).
     classes: Vec<PowKernel>,
     /// Per-class speed-adjusted rate `speed·Γ_c(share)` for the *current*
     /// Scan interval; refilled by [`JobArena::refresh_class_rates`] on
@@ -504,7 +436,7 @@ enum IntervalKind {
     Scan,
 }
 
-/// One slot of the fast loop's per-`n` allocation memo. The
+/// One slot of the engine's per-`n` allocation memo. The
 /// [`PrefixAllocation`] contract makes the policy's profile a pure
 /// function of `(n_alive, m)` (see [`crate::policy`]), and `m` is fixed
 /// per run, so the *validated* `(count, share)` pair for each alive count
@@ -561,7 +493,7 @@ pub struct Engine<'a> {
     profile: PrefixAllocation,
     /// Incremental path: drain shape of the current interval.
     interval: IntervalKind,
-    /// Fast loop only: per-`n` memo of the validated prefix profile and
+    /// Incremental path: per-`n` memo of the validated prefix profile and
     /// uniform rate, indexed by alive count (slot 0 unused). O(peak
     /// alive) — same order as the SRPT set itself.
     // lint:allow(L009) pure memo of the policy's (n, m)-pure prefix profile; a cold cache re-derives every entry bit-identically
@@ -577,13 +509,6 @@ pub struct Engine<'a> {
     /// emits — caching it turns the three-per-event virtual source calls
     /// into plain float compares.
     next_arrival: Option<Time>,
-    /// Incremental path: the arrival timeline as future-event wakeups,
-    /// generation-tagged for lazy discard; see [`crate::calendar`].
-    equeue: EventQueue,
-    /// Generation of the live arrival wakeup (bumped whenever the
-    /// cached `next_arrival` is refreshed; older queue entries are
-    /// stale, have times ≤ `now`, and are popped at the queue front).
-    arr_gen: u64,
     /// Steps that processed a completion *and* an arrival at one
     /// timestamp — the same-timestamp coalescing the event loop performs
     /// as a first-class step (see `docs/PERF.md` §4).
@@ -661,7 +586,6 @@ pub struct EngineBuffers {
     completed: Vec<CompletedJob>,
     free: Vec<usize>,
     sink: StreamingMetrics,
-    equeue: EventQueue,
     profile_cache: Vec<CachedProfile>,
 }
 
@@ -669,23 +593,6 @@ impl EngineBuffers {
     /// Fresh, empty buffers (what [`Engine::new`] starts from).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Clears all content in place, retaining every allocation.
-    fn clear(&mut self) {
-        self.jobs.clear();
-        self.ids.reset();
-        self.alive.clear();
-        self.shares.clear();
-        self.rates.clear();
-        self.srpt.reset();
-        self.scratch_moves.clear();
-        self.scratch_batch.clear();
-        self.completed.clear();
-        self.free.clear();
-        self.sink.reset();
-        self.equeue.clear();
-        self.profile_cache.clear();
     }
 }
 
@@ -722,18 +629,16 @@ impl<'a> Engine<'a> {
     }
 
     /// Like [`Engine::new`], but reusing the buffers of a previous run
-    /// instead of allocating fresh ones. The buffers are cleared here
-    /// (content discarded, capacity retained), so donating dirty buffers
-    /// is fine. Recover them afterwards with [`Engine::into_buffers`] or
-    /// one of the `run_*_reusing` finalizers.
+    /// instead of allocating fresh ones. Buffers only ever leave an
+    /// engine cleared (content discarded, capacity retained), through
+    /// [`Engine::into_buffers`] or one of the `run_*_reusing` finalizers.
     pub fn with_buffers(
         cfg: EngineConfig,
         policy: &'a mut dyn Policy,
         source: &'a mut dyn ArrivalSource,
         observer: &'a mut dyn Observer,
-        mut bufs: EngineBuffers,
+        bufs: EngineBuffers,
     ) -> Self {
-        bufs.clear();
         policy.reset();
         let mode = if !cfg.full_reassign
             && policy.stability() == AllocationStability::SrptPrefix
@@ -746,26 +651,7 @@ impl<'a> Engine<'a> {
         let auditor = (!cfg.audit.is_off()).then(|| Auditor::new(cfg.audit));
         let policy_name = policy.name();
         let policy_srpt_ordered = policy.srpt_ordered();
-        // Prime the arrival cache and, on the incremental path, seed the
-        // event queue with the first arrival wakeup. Donated buffers may
-        // carry the other queue arm; swap only then (the donation
-        // contract assumes a stable config, so this never reallocates at
-        // steady state).
         let next_arrival = source.next_time();
-        let mut equeue = bufs.equeue;
-        let want_heap = cfg.event_queue == EventQueueKind::Heap;
-        if want_heap != equeue.is_heap() {
-            equeue = if want_heap {
-                EventQueue::heap()
-            } else {
-                EventQueue::default()
-            };
-        }
-        if mode == ExecMode::Incremental {
-            if let Some(t) = next_arrival {
-                equeue.insert(t, 0);
-            }
-        }
         Self {
             cfg,
             policy,
@@ -786,8 +672,6 @@ impl<'a> Engine<'a> {
             profile_cache: bufs.profile_cache,
             next_completion: None,
             next_arrival,
-            equeue,
-            arr_gen: 0,
             coalesced: 0,
             scratch_moves: bufs.scratch_moves,
             scratch_batch: bufs.scratch_batch,
@@ -844,16 +728,8 @@ impl<'a> Engine<'a> {
         self.interval = IntervalKind::Idle;
         self.profile_cache.clear();
         self.next_completion = None;
-        self.equeue.clear();
-        debug_assert_eq!(self.equeue.len(), 0);
-        self.arr_gen = 0;
         self.coalesced = 0;
         self.next_arrival = self.source.next_time();
-        if self.mode == ExecMode::Incremental {
-            if let Some(t) = self.next_arrival {
-                self.equeue.insert(t, 0);
-            }
-        }
         self.scratch_moves.clear();
         self.scratch_batch.clear();
         self.now = 0.0;
@@ -891,7 +767,6 @@ impl<'a> Engine<'a> {
             completed: std::mem::take(&mut self.completed),
             free: std::mem::take(&mut self.free),
             sink: std::mem::take(&mut self.sink),
-            equeue: std::mem::take(&mut self.equeue),
             profile_cache: std::mem::take(&mut self.profile_cache),
         }
     }
@@ -1016,15 +891,12 @@ impl<'a> Engine<'a> {
                 done: self.jobs.done[i],
             })
             .collect();
-        let (equeue_entries, equeue_next_seq) = self.equeue.snapshot_entries();
         Ok(Snapshot {
             cfg: SnapCfg {
                 m: self.cfg.m,
                 speed: self.cfg.speed,
                 full_reassign: self.cfg.full_reassign,
                 streaming: self.cfg.streaming,
-                pow_kernel: self.cfg.pow_kernel,
-                heap_queue: self.cfg.event_queue == EventQueueKind::Heap,
             },
             policy_name: self.policy_name.clone(),
             policy_state: self.policy.snapshot_state(),
@@ -1032,7 +904,6 @@ impl<'a> Engine<'a> {
             now: self.now,
             events: self.events,
             coalesced: self.coalesced,
-            arr_gen: self.arr_gen,
             finished: self.finished,
             alloc_fresh: self.alloc_fresh,
             quantum_deadline: self.quantum_deadline,
@@ -1063,8 +934,6 @@ impl<'a> Engine<'a> {
             rates: self.rates.clone(),
             srpt: self.srpt.snapshot_state(),
             completed: self.completed.clone(),
-            equeue_entries,
-            equeue_next_seq,
         })
     }
 
@@ -1072,7 +941,7 @@ impl<'a> Engine<'a> {
     /// [`Engine::step`] calls continue the captured run bit-identically.
     ///
     /// The engine must have been constructed over the *same scenario*: a
-    /// config whose semantic knobs (`m`, `speed`, paths, modes, queue arm)
+    /// config whose semantic knobs (`m`, `speed`, path, memory mode)
     /// match the snapshot's, a policy with the same name, auditing off,
     /// and an arrival source that can [`ArrivalSource::fast_forward`] to
     /// the snapshot's admission count and then agrees on the next arrival
@@ -1090,15 +959,11 @@ impl<'a> Engine<'a> {
             speed: self.cfg.speed,
             full_reassign: self.cfg.full_reassign,
             streaming: self.cfg.streaming,
-            pow_kernel: self.cfg.pow_kernel,
-            heap_queue: self.cfg.event_queue == EventQueueKind::Heap,
         };
         if have.m.to_bits() != snap.cfg.m.to_bits()
             || have.speed.to_bits() != snap.cfg.speed.to_bits()
             || have.full_reassign != snap.cfg.full_reassign
             || have.streaming != snap.cfg.streaming
-            || have.pow_kernel != snap.cfg.pow_kernel
-            || have.heap_queue != snap.cfg.heap_queue
         {
             return Err(bad(format!(
                 "restore config mismatch: engine {have:?} vs snapshot {:?}",
@@ -1205,23 +1070,18 @@ impl<'a> Engine<'a> {
                 self.next_arrival, snap.next_arrival
             )));
         }
-        // Arena lanes. The kernel lane is reconstructed from each curve
-        // plus the per-run kernel flavour; this is bit-identical to the
-        // admission-time kernels because construction is deterministic in α
+        // Arena lanes. The kernel lane is reconstructed from each curve;
+        // this is bit-identical to the admission-time kernels because
+        // construction is deterministic in α
         // (see the `JobArena::classes` invariant). The registry itself is
         // rebuilt from the captured α bit patterns in first-seen order —
         // replaying admissions cannot recover it under streaming slot
         // recycling, where retired slots may have carried classes no
         // resident job mentions.
         for j in &snap.jobs {
-            let kernel = if self.cfg.pow_kernel {
-                j.spec.curve.kernel()
-            } else {
-                j.spec.curve.alpha().map(PowKernel::powf_reference)
-            };
             self.jobs
                 .kern
-                .push(kernel.unwrap_or_else(|| PowKernel::new(1.0)));
+                .push(j.spec.curve.kernel().unwrap_or_else(|| PowKernel::new(1.0)));
             self.jobs.specs.push(j.spec.clone());
             self.jobs.remaining.push(j.remaining);
             self.jobs.run_key.push(j.run_key);
@@ -1230,13 +1090,7 @@ impl<'a> Engine<'a> {
             self.jobs.done.push(j.done);
         }
         for &bits in &snap.class_alpha_bits {
-            let alpha = f64::from_bits(bits);
-            let k = if self.cfg.pow_kernel {
-                PowKernel::new(alpha)
-            } else {
-                PowKernel::powf_reference(alpha)
-            };
-            self.jobs.classes.push(k);
+            self.jobs.classes.push(PowKernel::new(f64::from_bits(bits)));
             self.jobs.class_rates.push(0.0);
         }
         // Id map: every resident slot except (in streaming mode) retired
@@ -1258,8 +1112,6 @@ impl<'a> Engine<'a> {
         self.shares.extend_from_slice(&snap.shares);
         self.rates.extend_from_slice(&snap.rates);
         self.srpt.restore_state(&snap.srpt);
-        self.equeue
-            .restore_entries(&snap.equeue_entries, snap.equeue_next_seq);
         self.profile = PrefixAllocation {
             count: snap.profile_count,
             share: snap.profile_share,
@@ -1270,7 +1122,6 @@ impl<'a> Engine<'a> {
             SnapInterval::Scan => IntervalKind::Scan,
         };
         self.next_completion = snap.next_completion;
-        self.arr_gen = snap.arr_gen;
         self.coalesced = snap.coalesced;
         self.now = snap.now;
         self.alloc_fresh = snap.alloc_fresh;
@@ -1313,40 +1164,69 @@ impl<'a> Engine<'a> {
         let clock_ulp = now.abs().max(1.0) * f64::EPSILON;
         Self::snap_tolerance(size).max(rate * 4.0 * clock_ulp)
     }
-    /// Releases all arrivals due at the current time. Returns whether any
-    /// arrived.
+
+    /// Rejects configurations no run can execute: a processor count or
+    /// speed that is not finite and positive, or a non-finite first
+    /// arrival time (later ones are checked where `next_arrival` is
+    /// refreshed, in [`Engine::admit_due`]). Without this, NaN times
+    /// compare as "due" forever and the loop spins to the event limit.
+    fn check_run_start(&self) -> Result<(), SimError> {
+        for (what, v) in [("m", self.cfg.m), ("speed", self.cfg.speed)] {
+            if !(v.is_finite() && v > 0.0) {
+                return Err(SimError::BadInstance {
+                    // lint:allow(L007) error construction: an invalid config terminates the run
+                    what: format!("engine {what} must be finite and > 0, got {v}"),
+                });
+            }
+        }
+        Self::check_arrival_time(self.next_arrival)
+    }
+
+    /// Rejects a non-finite `ArrivalSource::next_time` answer.
+    fn check_arrival_time(t: Option<Time>) -> Result<(), SimError> {
+        match t {
+            Some(t) if !t.is_finite() => Err(SimError::BadInstance {
+                // lint:allow(L007) error construction: a bad source clock terminates the run
+                what: format!("arrival source reported non-finite next_time {t}"),
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Admission phase: releases all arrivals due at the current time and
+    /// returns whether any arrived. The due test is inlined so events
+    /// without an arrival (half the steady state) skip the call.
+    #[inline(always)]
+    fn admit<const HOOKED: bool, const VALIDATE: bool, const PHOOKS: bool>(
+        &mut self,
+    ) -> Result<bool, SimError> {
+        let due = self
+            .next_arrival
+            .is_some_and(|t| t <= self.now + crate::source::arrival_tolerance(self.now));
+        if !due {
+            return Ok(false);
+        }
+        self.admit_due::<HOOKED, VALIDATE, PHOOKS>()
+    }
+
+    /// Admission body, monomorphized per loop instantiation (see
+    /// [`Engine::run_until`]): `HOOKED` gates the observer announcement,
+    /// `VALIDATE` the per-spec invariant checks (elided when the source
+    /// [`ArrivalSource::pre_validated`]s its stream), and `PHOOKS` the
+    /// [`Policy::on_arrival`] notification (elided when
+    /// [`Policy::event_hooks_are_noop`]).
     ///
     /// Specs are validated, announced to the observer, then *moved* into
     /// the job arena — the seed engine cloned each spec twice here, which
     /// dominated arrival cost for jobs with piecewise curves.
-    fn admit_due_arrivals(&mut self) -> Result<bool, SimError> {
-        self.admit_core::<true, true, true, true>()
-    }
-
-    /// Admission core, monomorphized per caller (see [`Engine::run_loop`]):
-    /// `VALIDATE` gates the per-spec invariant checks (elided when the
-    /// source [`ArrivalSource::pre_validated`]s its stream), `NOTIFY` the
-    /// observer announcement (elided when [`Observer::is_noop`]), `EQUEUE`
-    /// the event-queue bookkeeping (elided by the fast loop, which reads
-    /// the cached `next_arrival` directly and never touches the queue),
-    /// and `PHOOKS` the [`Policy::on_arrival`] notification (elided when
-    /// [`Policy::event_hooks_are_noop`]). The `<true, true, true, true>`
-    /// instantiation *is* the generic engine's admission path, unchanged.
-    fn admit_core<
-        const VALIDATE: bool,
-        const NOTIFY: bool,
-        const EQUEUE: bool,
-        const PHOOKS: bool,
-    >(
+    fn admit_due<const HOOKED: bool, const VALIDATE: bool, const PHOOKS: bool>(
         &mut self,
     ) -> Result<bool, SimError> {
         let mut any = false;
-        let mut rounds = 0u32;
         while let Some(t) = self.next_arrival {
             if t > self.now + crate::source::arrival_tolerance(self.now) {
                 break;
             }
-            rounds += 1;
             let mut batch = std::mem::take(&mut self.scratch_batch);
             batch.clear();
             {
@@ -1388,6 +1268,7 @@ impl<'a> Engine<'a> {
             // The emission is the only thing that can move the source's
             // clock; refresh the cache once per round, not per query.
             self.next_arrival = self.source.next_time();
+            Self::check_arrival_time(self.next_arrival)?;
             if batch.is_empty() {
                 self.scratch_batch = batch;
                 // An empty batch is a decision-only wakeup (used by
@@ -1451,7 +1332,7 @@ impl<'a> Engine<'a> {
                     });
                 }
             }
-            if NOTIFY {
+            if HOOKED {
                 self.observer.on_arrivals(self.now, &batch);
             }
             for spec in batch.drain(..) {
@@ -1464,12 +1345,7 @@ impl<'a> Engine<'a> {
                 self.ids.insert(spec.id, idx);
                 self.admitted += 1;
                 let remaining = spec.size;
-                let kernel = if self.cfg.pow_kernel {
-                    spec.curve.kernel()
-                } else {
-                    spec.curve.alpha().map(PowKernel::powf_reference)
-                };
-                let (kern, class) = self.jobs.classify(kernel);
+                let (kern, class) = self.jobs.classify(spec.curve.kernel());
                 let (run_key, in_running) = match self.mode {
                     ExecMode::Exhaustive => {
                         self.alive.push(idx);
@@ -1505,145 +1381,33 @@ impl<'a> Engine<'a> {
             self.peak_alive = self.peak_alive.max(self.num_alive());
             any = true;
         }
-        if rounds > 0 {
-            // The cached next-arrival moved: retag the live arrival
-            // candidate and queue the new wakeup (older entries go
-            // stale and are lazily discarded at the queue front).
-            self.arr_gen += 1;
-            if EQUEUE && self.mode == ExecMode::Incremental {
-                // The superseded wakeup is the queue minimum (its time
-                // was just admitted, hence ≤ now): retire it eagerly so
-                // the queue holds exactly the live arrival timeline. The
-                // generation tags and the lazy discard in
-                // `next_event_time` remain as a safety net, but after
-                // this pop they never fire on the steady-state path.
-                let _ = self.equeue.pop();
-                if let Some(t) = self.next_arrival {
-                    self.equeue.insert(t, self.arr_gen);
-                }
-            }
-        }
         if any {
             self.alloc_fresh = false;
         }
         Ok(any)
     }
 
-    /// Revalidates the allocation for the interval starting now, whichever
-    /// path is active.
-    fn ensure_fresh(&mut self) -> Result<(), SimError> {
-        match self.mode {
-            ExecMode::Exhaustive => self.refresh_allocation(),
-            ExecMode::Incremental => self.refresh_profile(),
+    /// Refresh phase: revalidates the allocation for the interval starting
+    /// now. `HOOKED = false` instantiations run only on the incremental
+    /// path, so the path test folds away there.
+    #[inline]
+    fn refresh<const HOOKED: bool>(&mut self) -> Result<(), SimError> {
+        if HOOKED && self.mode == ExecMode::Exhaustive {
+            self.refresh_allocation()
+        } else {
+            self.refresh_profile()
         }
     }
 
-    /// Incremental-path allocation refresh: queries the policy's prefix
+    /// Incremental-path allocation refresh: applies the policy's prefix
     /// profile, rebalances the running/queued partition, and classifies the
     /// upcoming interval's drain shape. `O(log n)` plus `O(moved)` for the
     /// partition moves (amortized `O(1)` moves per event for the θ = 1
     /// family; threshold crossings can move a batch, which the rebalance
     /// handles in bulk).
-    fn refresh_profile(&mut self) -> Result<(), SimError> {
-        self.quantum_deadline = None;
-        self.next_completion = None;
-        let n = self.srpt.len();
-        if n == 0 {
-            self.interval = IntervalKind::Idle;
-            self.alloc_fresh = true;
-            return Ok(());
-        }
-        let Some(profile) = self.policy.prefix_allocation(n, self.cfg.m) else {
-            return Err(SimError::BadInstance {
-                // lint:allow(L007) error construction: an infeasible profile terminates the run
-                what: format!(
-                    "policy {} declares SrptPrefix stability but returned no prefix profile for n = {n}",
-                    self.policy.name()
-                ),
-            });
-        };
-        // Mirror the exhaustive path's feasibility checks (same error
-        // taxonomy, O(1) instead of O(n)).
-        if !profile.share.is_finite() || profile.share < -EPS {
-            return Err(SimError::InvalidShare {
-                at: self.now,
-                share: profile.share,
-                policy: self.policy.name(),
-            });
-        }
-        let count = profile.count.clamp(1, n);
-        let share = profile.share.max(0.0);
-        let total = count as f64 * share;
-        if total > self.cfg.m * (1.0 + 1e-9) + EPS {
-            return Err(SimError::InfeasibleAllocation {
-                at: self.now,
-                requested: total,
-                available: self.cfg.m,
-                policy: self.policy.name(),
-            });
-        }
-        self.profile = PrefixAllocation { count, share };
-        let jobs = &mut self.jobs;
-        self.srpt
-            .maybe_rebase(|idx, p| apply_placement(jobs, idx, p));
-        self.srpt
-            .rebalance(count, |idx, p| apply_placement(jobs, idx, p));
-        // Classify the interval. Uniform (O(1) drain) whenever every
-        // running job provably drains at one common rate: a single runner,
-        // identical curves, or share 1 with Γ(1) = 1 across the prefix.
-        let share_is_unit = (share - 1.0).abs() <= 1e-12;
-        let unit_rate = share_is_unit && self.srpt.unit_rate_at_one();
-        let uniform = self.srpt.running_len() <= 1 || self.srpt.uniform_curves() || unit_rate;
-        if uniform {
-            let rate = match self.srpt.front_running() {
-                // Γ(1) = 1 across the prefix ⇒ rate is the bare speed; skip
-                // the (powf-backed) curve evaluation in the overload steady
-                // state.
-                Some((slot, rem)) => {
-                    let rate = if unit_rate {
-                        self.cfg.speed
-                    } else {
-                        self.cfg.speed * self.jobs.gamma(slot.idx, share)
-                    };
-                    if rate > 0.0 {
-                        // Invariant under uniform drain, so it doubles as
-                        // the completion candidate for this interval.
-                        self.next_completion = Some(self.now + rem / rate);
-                    }
-                    rate
-                }
-                None => 0.0,
-            };
-            self.interval = IntervalKind::Uniform { rate };
-        } else {
-            // Scan interval: one Γ evaluation per kernel *class*, then a
-            // contiguous walk over the prefix through the per-class rate
-            // cache (no per-job pointer chase, no per-job powf).
-            self.jobs.refresh_class_rates(self.cfg.speed, share);
-            let mut next: Option<Time> = None;
-            let jobs = &self.jobs;
-            let now = self.now;
-            let speed = self.cfg.speed;
-            self.srpt.for_each_running_ordered(|slot, rem| {
-                let rate = jobs.rate_cached(slot.idx, speed, share);
-                if rate > 0.0 {
-                    let t = now + rem / rate;
-                    if next.is_none_or(|n| t < n) {
-                        next = Some(t);
-                    }
-                }
-            });
-            self.interval = IntervalKind::Scan;
-            self.next_completion = next;
-        }
-        self.alloc_fresh = true;
-        Ok(())
-    }
-
-    /// Delta-allocation refresh for the fast loop: like
-    /// [`Engine::refresh_profile`], but the validated `(count, share)`
-    /// pair is replayed from the per-`n` memo instead of re-querying the
-    /// policy through `dyn` dispatch and re-validating the answer on
+    ///
+    /// The validated `(count, share)` pair is replayed from the per-`n`
+    /// memo instead of re-querying the policy through `dyn` dispatch on
     /// every event. The [`PrefixAllocation`] contract makes the profile a
     /// pure function of `(n_alive, m)` with `m` fixed per run, and the
     /// clamping/feasibility pipeline applied to it is deterministic, so
@@ -1651,12 +1415,9 @@ impl<'a> Engine<'a> {
     /// this alive count is seen) runs the full query + validation and
     /// fills the slot. Uniform-interval rates are likewise memoized per
     /// `(n, kernel class)`: same class ⇒ bit-identical kernel ⇒
-    /// bit-identical `speed·Γ_c(share)`. Everything downstream of the
-    /// profile (rebase, rebalance, interval classification, next
-    /// completion) is the same arithmetic in the same order as
-    /// [`Engine::refresh_profile`].
+    /// bit-identical `speed·Γ_c(share)`.
     #[inline]
-    fn refresh_profile_fast(&mut self) -> Result<(), SimError> {
+    fn refresh_profile(&mut self) -> Result<(), SimError> {
         self.quantum_deadline = None;
         self.next_completion = None;
         let n = self.srpt.len();
@@ -1681,6 +1442,8 @@ impl<'a> Engine<'a> {
                     ),
                 });
             };
+            // Mirror the exhaustive path's feasibility checks (same error
+            // taxonomy, O(1) instead of O(n)).
             if !profile.share.is_finite() || profile.share < -EPS {
                 return Err(SimError::InvalidShare {
                     at: self.now,
@@ -1715,7 +1478,9 @@ impl<'a> Engine<'a> {
             .maybe_rebase(|idx, p| apply_placement(jobs, idx, p));
         self.srpt
             .rebalance(count, |idx, p| apply_placement(jobs, idx, p));
-        // Interval classification — same predicates as refresh_profile.
+        // Classify the interval. Uniform (O(1) drain) whenever every
+        // running job provably drains at one common rate: a single runner,
+        // identical curves, or share 1 with Γ(1) = 1 across the prefix.
         let share_is_unit = (share - 1.0).abs() <= 1e-12;
         let unit_rate = share_is_unit && self.srpt.unit_rate_at_one();
         let uniform = self.srpt.running_len() <= 1 || self.srpt.uniform_curves() || unit_rate;
@@ -1747,6 +1512,9 @@ impl<'a> Engine<'a> {
             };
             self.interval = IntervalKind::Uniform { rate };
         } else {
+            // Scan interval: one Γ evaluation per kernel *class*, then a
+            // contiguous walk over the prefix through the per-class rate
+            // cache (no per-job pointer chase, no per-job powf).
             self.jobs.refresh_class_rates(self.cfg.speed, share);
             let mut next: Option<Time> = None;
             let jobs = &self.jobs;
@@ -1827,110 +1595,120 @@ impl<'a> Engine<'a> {
     }
 
     /// The next time at which anything happens (completion, arrival, or
-    /// quantum expiry), or `None` when the run is over.
+    /// quantum expiry), or `None` when the run is over. Together with
+    /// [`Engine::advance_to`] this is the fully hooked instantiation of the
+    /// event loop's phases, for drivers that interleave engines in
+    /// lockstep; [`Engine::run_until`] composes the same phases.
     pub fn next_event_time(&mut self) -> Result<Option<Time>, SimError> {
+        self.check_run_start()?;
         if self.finished {
             return Ok(None);
         }
         // Arrivals due exactly now (including the ones at t = 0 before the
         // first step) must be admitted before deciding the allocation.
-        hp_phase!(self, queue_ns, self.admit_due_arrivals())?;
+        hp_phase!(self, queue_ns, self.admit::<true, true, true>())?;
         if !self.alloc_fresh {
-            hp_phase!(self, refresh_ns, self.ensure_fresh())?;
+            hp_phase!(self, refresh_ns, self.refresh::<true>())?;
         }
-        let next = hp_phase!(self, queue_ns, {
-            let mut next: Option<Time> = None;
-            let mut consider = |t: Time| {
-                if next.is_none_or(|n| t < n) {
-                    next = Some(t);
-                }
-            };
-            match self.mode {
-                ExecMode::Exhaustive => {
-                    for (i, &idx) in self.alive.iter().enumerate() {
-                        if self.rates[i] > 0.0 {
-                            consider(self.now + self.jobs.remaining[idx] / self.rates[i]);
-                        }
-                    }
-                    if let Some(t) = self.next_arrival {
-                        consider(t.max(self.now));
-                    }
-                }
-                // Incremental: the interval's completion candidate is a plain
-                // field (recomputed by every refresh); the arrival wakeup is
-                // peeked from the event queue, lazily discarding superseded
-                // generations (their times are ≤ now, so they sit at the
-                // front). Clamping to `now` after the min is identical to
-                // clamping before it (max(·, now) is monotone).
-                ExecMode::Incremental => {
-                    if let Some(t) = self.next_completion {
-                        consider(t.max(self.now));
-                    }
-                    while let Some((t, gen)) = self.equeue.peek() {
-                        if gen == self.arr_gen {
-                            consider(t.max(self.now));
-                            break;
-                        }
-                        self.equeue.pop();
-                    }
-                }
-            }
-            if let Some(t) = self.quantum_deadline {
-                consider(t.max(self.now));
-            }
-            next
-        });
-        match next {
-            Some(t) => Ok(Some(t)),
-            None => {
-                if self.num_alive() == 0 {
-                    self.finished = true;
-                    Ok(None)
-                } else {
-                    Err(SimError::Stalled {
-                        at: self.now,
-                        alive: self.num_alive(),
-                    })
-                }
-            }
-        }
+        hp_phase!(self, queue_ns, self.select_next::<true>())
     }
 
     /// Advances the clock to `t` (which must not exceed the next event
     /// time), integrating metrics and processing completions and arrivals
     /// that fall exactly at `t`.
     pub fn advance_to(&mut self, t: Time) -> Result<(), SimError> {
+        if !self.alloc_fresh {
+            hp_phase!(self, refresh_ns, self.refresh::<true>())?;
+        }
+        self.advance::<true, true, true>(t)
+    }
+
+    /// Event-selection phase: the earliest of the interval's completion
+    /// candidate(s), the cached next arrival, and the quantum deadline.
+    /// Requires a fresh allocation. On no candidate the run is finished
+    /// (nothing alive) or stalled.
+    #[inline]
+    fn select_next<const HOOKED: bool>(&mut self) -> Result<Option<Time>, SimError> {
+        let now = self.now;
+        let mut next: Option<Time> = None;
+        let mut consider = |t: Time| {
+            if next.is_none_or(|n| t < n) {
+                next = Some(t);
+            }
+        };
+        if HOOKED && self.mode == ExecMode::Exhaustive {
+            for (i, &idx) in self.alive.iter().enumerate() {
+                if self.rates[i] > 0.0 {
+                    consider(now + self.jobs.remaining[idx] / self.rates[i]);
+                }
+            }
+        } else if let Some(t) = self.next_completion {
+            // The incremental path recomputes its completion candidate on
+            // every refresh. Clamping to `now` after the min is identical
+            // to clamping before it (max(·, now) is monotone).
+            consider(t.max(now));
+        }
+        if let Some(t) = self.next_arrival {
+            consider(t.max(now));
+        }
+        if let Some(t) = self.quantum_deadline {
+            consider(t.max(now));
+        }
+        match next {
+            Some(t) => Ok(Some(t)),
+            None if self.num_alive() == 0 => {
+                self.finished = true;
+                Ok(None)
+            }
+            None => Err(SimError::Stalled {
+                at: now,
+                alive: self.num_alive(),
+            }),
+        }
+    }
+
+    /// Advance phase: integrates the interval up to `t`, collects the
+    /// completions and admits the arrivals that fall exactly at `t`.
+    #[inline]
+    fn advance<const HOOKED: bool, const VALIDATE: bool, const PHOOKS: bool>(
+        &mut self,
+        t: Time,
+    ) -> Result<(), SimError> {
         debug_assert!(
             t >= self.now - EPS * self.now.max(1.0),
             "time went backwards"
         );
-        if !self.alloc_fresh {
-            hp_phase!(self, refresh_ns, self.ensure_fresh())?;
-        }
+        let exhaustive = HOOKED && self.mode == ExecMode::Exhaustive;
         let dt = (t - self.now).max(0.0);
         if dt > 0.0 {
             hp_phase!(
                 self,
                 metrics_ns,
-                match self.mode {
-                    ExecMode::Exhaustive => self.integrate_exhaustive(dt),
-                    ExecMode::Incremental => self.integrate_incremental(dt),
+                if exhaustive {
+                    self.integrate_exhaustive(dt)
+                } else {
+                    self.integrate_incremental(dt)
                 }
             );
-            self.observer.on_advance(self.now, t);
+            if HOOKED {
+                self.observer.on_advance(self.now, t);
+            }
             self.now = t;
         } else {
             self.now = self.now.max(t);
         }
         // Completions at the new time.
         let completed_any = hp_phase!(self, dispatch_ns, {
-            let completed_any = match self.mode {
-                ExecMode::Exhaustive => self.collect_completions_exhaustive(),
-                ExecMode::Incremental => self.collect_completions_incremental(),
+            let completed_any = if exhaustive {
+                self.collect_completions_exhaustive()
+            } else {
+                self.collect_completions_incremental::<HOOKED>()
             };
             if completed_any {
                 self.alloc_fresh = false;
-                self.policy.on_completion(self.now, self.num_alive());
+                if PHOOKS {
+                    self.policy.on_completion(self.now, self.num_alive());
+                }
             }
             completed_any
         });
@@ -1945,7 +1723,7 @@ impl<'a> Engine<'a> {
         // event, one step — which is the first-class same-timestamp
         // coalescing documented in `docs/PERF.md` §4; count it so tests
         // can pin the behavior instead of inferring it from event totals.
-        let arrived = hp_phase!(self, queue_ns, self.admit_due_arrivals())?;
+        let arrived = hp_phase!(self, queue_ns, self.admit::<HOOKED, VALIDATE, PHOOKS>())?;
         if completed_any && arrived {
             self.coalesced += 1;
         }
@@ -2027,15 +1805,9 @@ impl<'a> Engine<'a> {
     /// Records a completion at the current time into the aggregate sink
     /// (both modes) and the completion list (in-memory mode), then retires
     /// the arena slot (streaming mode). Callers have already detached the
-    /// job from their alive structure.
-    fn finish_job(&mut self, idx: usize) {
-        self.finish_job_core::<true>(idx)
-    }
-
-    /// Completion-recording core; `NOTIFY` gates the observer callback
-    /// (elided by the fast loop, whose eligibility requires
-    /// [`Observer::is_noop`]). `<true>` is the generic path, unchanged.
-    fn finish_job_core<const NOTIFY: bool>(&mut self, idx: usize) {
+    /// job from their alive structure. `HOOKED` gates the observer
+    /// callback.
+    fn finish_job<const HOOKED: bool>(&mut self, idx: usize) {
         self.jobs.remaining[idx] = 0.0;
         self.jobs.in_running[idx] = false;
         self.jobs.done[idx] = true;
@@ -2051,7 +1823,7 @@ impl<'a> Engine<'a> {
                 weight: spec.weight,
             });
         }
-        if NOTIFY {
+        if HOOKED {
             self.observer.on_completion(self.now, &self.jobs.specs[idx]);
         }
         if self.cfg.streaming {
@@ -2078,7 +1850,7 @@ impl<'a> Engine<'a> {
                 // refresh either way).
                 self.rates.swap_remove(i);
                 self.shares.swap_remove(i);
-                self.finish_job(idx);
+                self.finish_job::<true>(idx);
                 completed_any = true;
             } else {
                 i += 1;
@@ -2090,14 +1862,8 @@ impl<'a> Engine<'a> {
     /// Incremental-path completions: only the *front* of the running prefix
     /// can finish (SRPT order), so this pops while the front is within
     /// tolerance — O(log n) per completion, no sweep.
-    fn collect_completions_incremental(&mut self) -> bool {
-        self.collect_completions_incremental_core::<true>()
-    }
-
-    /// Incremental completion core; `NOTIFY` as in
-    /// [`Engine::finish_job_core`].
     #[inline]
-    fn collect_completions_incremental_core<const NOTIFY: bool>(&mut self) -> bool {
+    fn collect_completions_incremental<const HOOKED: bool>(&mut self) -> bool {
         let mut completed_any = false;
         while let Some((slot, rem)) = self.srpt.front_running() {
             let rate = match self.interval {
@@ -2113,7 +1879,7 @@ impl<'a> Engine<'a> {
             }
             let idx = slot.idx;
             self.srpt.pop_front_running();
-            self.finish_job_core::<NOTIFY>(idx);
+            self.finish_job::<HOOKED>(idx);
             completed_any = true;
         }
         completed_any
@@ -2190,131 +1956,88 @@ impl<'a> Engine<'a> {
 
     /// Processes one event. Returns `false` when the run is complete.
     pub fn step(&mut self) -> Result<bool, SimError> {
-        let Some(t) = self.next_event_time()? else {
-            return Ok(false);
-        };
-        // Audit hook: at this point the allocation is fresh and constant
-        // over `[now, t]`, so the frame captures exactly what the engine is
-        // about to execute.
-        if let Some(mut aud) = self.auditor.take() {
-            let checked = if aud.wants_frame(self.events) {
-                aud.check_frame(self.build_audit_frame())
-            } else {
-                Ok(())
-            };
-            self.auditor = Some(aud);
-            checked?;
-        }
-        if t > self.cfg.max_time {
-            return Err(SimError::TimeLimit {
-                limit: self.cfg.max_time,
-            });
-        }
-        self.events += 1;
-        if self.events > self.cfg.max_events {
-            return Err(SimError::EventLimit {
-                limit: self.cfg.max_events,
-            });
-        }
-        #[cfg(feature = "hotpath")]
-        if self.cfg.hotpath_profile {
-            self.hotpath.events += 1;
-        }
-        self.advance_to(t)?;
-        Ok(true)
+        Ok(self.run_until(1)? == 1)
     }
 
-    /// Drives the run to completion without finalizing: the monomorphized
-    /// fast event loop when eligible, the generic [`Engine::step`] loop
-    /// otherwise. All four `run*` finalizers route through here; it is
-    /// public so external drivers (benchmarks, the allocation audit) can
-    /// execute the exact finalizer loop and then inspect the engine
-    /// before materializing an outcome.
-    ///
-    /// Fast-loop eligibility: [`EngineConfig::fast_loop`] on, the
-    /// incremental path, auditing off, and a no-op observer
-    /// ([`Observer::is_noop`]). The fast loop is bit-identical to the
-    /// generic loop — same completion order, same metric bits, same
-    /// error taxonomy — which `tests/engine_fastpath_differential.rs`
-    /// pins policy by policy. What it removes is dispatch and
-    /// bookkeeping, not arithmetic: the per-event `dyn` profile query is
-    /// replayed from the per-`n` memo
-    /// ([`Engine::refresh_profile_fast`]), admission re-validation is
-    /// skipped for [`ArrivalSource::pre_validated`] sources, no-op
-    /// observer and policy-hook calls are elided
-    /// ([`Policy::event_hooks_are_noop`]), and the arrival wakeup is
-    /// read from the cached `next_arrival` field instead of
-    /// round-tripping the event queue.
+    /// Drives the run to completion without finalizing. All four `run*`
+    /// finalizers do the same; it is public so external drivers
+    /// (benchmarks, the allocation audit) can execute the exact finalizer
+    /// loop and then inspect the engine before materializing an outcome.
     pub fn run_loop(&mut self) -> Result<(), SimError> {
-        let fast = self.cfg.fast_loop
-            && self.mode == ExecMode::Incremental
-            && self.auditor.is_none()
-            && self.observer.is_noop();
-        if !fast {
-            while self.step()? {}
-            return Ok(());
+        self.run_until(u64::MAX).map(|_| ())
+    }
+
+    /// The event loop: processes up to `budget` events and returns how
+    /// many it processed. Fewer than `budget` means the run finished.
+    /// [`Engine::step`], the `run*` finalizers and sliced drivers (the
+    /// fleet) all go through here.
+    ///
+    /// Each event runs the same phases — refresh, select, audit, and
+    /// advance (which ends with admission) — monomorphized over the hooks
+    /// this run needs, picked here from facts the engine observes:
+    ///
+    /// * `HOOKED`: the exhaustive path, an auditor, or an observer that
+    ///   is not [`Observer::is_noop`]. Off, the loop is incremental-only
+    ///   and every observer/audit call compiles out.
+    /// * `VALIDATE`: per-spec admission checks, off for
+    ///   [`ArrivalSource::pre_validated`] sources (hooked runs keep them).
+    /// * `PHOOKS`: [`Policy::on_arrival`]/[`Policy::on_completion`], off
+    ///   when [`Policy::event_hooks_are_noop`] (hooked runs keep them).
+    ///
+    /// Every instantiation performs the same arithmetic in the same order,
+    /// so all of them produce bit-identical runs.
+    pub fn run_until(&mut self, budget: u64) -> Result<u64, SimError> {
+        self.check_run_start()?;
+        if budget == 0 || self.finished {
+            return Ok(0);
         }
-        let hooks = !self.policy.event_hooks_are_noop();
-        match (self.source.pre_validated(), hooks) {
-            (true, true) => self.run_fast_loop::<false, true>(),
-            (true, false) => self.run_fast_loop::<false, false>(),
-            (false, true) => self.run_fast_loop::<true, true>(),
-            (false, false) => self.run_fast_loop::<true, false>(),
+        let hooked =
+            self.mode == ExecMode::Exhaustive || self.auditor.is_some() || !self.observer.is_noop();
+        if hooked {
+            return self.run_phases::<true, true, true>(budget);
+        }
+        match (
+            self.source.pre_validated(),
+            self.policy.event_hooks_are_noop(),
+        ) {
+            (true, false) => self.run_phases::<false, false, true>(budget),
+            (true, true) => self.run_phases::<false, false, false>(budget),
+            (false, false) => self.run_phases::<false, true, true>(budget),
+            (false, true) => self.run_phases::<false, true, false>(budget),
         }
     }
 
-    /// The monomorphized fast event loop — see [`Engine::run_loop`] for
-    /// eligibility and the equivalence contract. One iteration performs
-    /// exactly one `step()`: leading admission, (delta-)refresh, event
-    /// selection, budget checks, interval integration, completion
-    /// collection, trailing admission — in the generic loop's order, with
-    /// its tie-breaking (completion candidate considered before the
-    /// arrival, strict `<` to replace) and its `max(now)` clamping.
-    fn run_fast_loop<const VALIDATE: bool, const PHOOKS: bool>(&mut self) -> Result<(), SimError> {
-        debug_assert!(
-            self.quantum_deadline.is_none(),
-            "the incremental path never schedules a quantum"
-        );
-        if self.finished {
-            return Ok(());
-        }
-        // `step()` admits due arrivals at the top of every step, but inside
-        // a closed loop that leading admission is provably a no-op after
-        // the first iteration: the previous iteration's trailing admission
-        // drained everything due at `now`, and nothing advances the clock
-        // in between. One admission before the loop replaces it exactly.
-        hp_phase!(
-            self,
-            queue_ns,
-            self.admit_core::<VALIDATE, false, false, PHOOKS>()
-        )?;
-        loop {
+    /// One [`Engine::run_until`] instantiation.
+    fn run_phases<const HOOKED: bool, const VALIDATE: bool, const PHOOKS: bool>(
+        &mut self,
+        budget: u64,
+    ) -> Result<u64, SimError> {
+        // Leading admission, once per call: inside the loop it would be a
+        // no-op, because each event's trailing admission drains everything
+        // due at `now` and nothing advances the clock in between.
+        hp_phase!(self, queue_ns, self.admit::<HOOKED, VALIDATE, PHOOKS>())?;
+        let mut done = 0;
+        while done < budget {
             if !self.alloc_fresh {
-                hp_phase!(self, refresh_ns, self.refresh_profile_fast())?;
+                hp_phase!(self, refresh_ns, self.refresh::<HOOKED>())?;
             }
-            let next = hp_phase!(self, queue_ns, {
-                let mut next: Option<Time> = None;
-                if let Some(t) = self.next_completion {
-                    next = Some(t.max(self.now));
-                }
-                if let Some(t) = self.next_arrival {
-                    let t = t.max(self.now);
-                    if next.is_none_or(|n| t < n) {
-                        next = Some(t);
-                    }
-                }
-                next
-            });
-            let Some(t) = next else {
-                if self.srpt.len() == 0 {
-                    self.finished = true;
-                    return Ok(());
-                }
-                return Err(SimError::Stalled {
-                    at: self.now,
-                    alive: self.srpt.len(),
-                });
+            let Some(t) = hp_phase!(self, queue_ns, self.select_next::<HOOKED>())? else {
+                break;
             };
+            // Audit hook: at this point the allocation is fresh and
+            // constant over `[now, t]`, so the frame captures exactly what
+            // the engine is about to execute.
+            if HOOKED {
+                if let Some(mut aud) = self.auditor.take() {
+                    let checked = if aud.wants_frame(self.events) {
+                        aud.check_frame(self.build_audit_frame())
+                    } else {
+                        Ok(())
+                    };
+                    self.auditor = Some(aud);
+                    checked?;
+                }
+            }
             if t > self.cfg.max_time {
                 return Err(SimError::TimeLimit {
                     limit: self.cfg.max_time,
@@ -2330,49 +2053,10 @@ impl<'a> Engine<'a> {
             if self.cfg.hotpath_profile {
                 self.hotpath.events += 1;
             }
-            // `advance_to`, fused.
-            debug_assert!(
-                t >= self.now - EPS * self.now.max(1.0),
-                "time went backwards"
-            );
-            let dt = (t - self.now).max(0.0);
-            if dt > 0.0 {
-                hp_phase!(self, metrics_ns, self.integrate_incremental(dt));
-                self.now = t;
-            } else {
-                self.now = self.now.max(t);
-            }
-            let completed_any = hp_phase!(self, dispatch_ns, {
-                let completed_any = self.collect_completions_incremental_core::<false>();
-                if completed_any {
-                    self.alloc_fresh = false;
-                    if PHOOKS {
-                        self.policy.on_completion(self.now, self.srpt.len());
-                    }
-                }
-                completed_any
-            });
-            // Trailing admission, with `admit_core`'s own entry test
-            // duplicated here so non-arrival events (half the steady
-            // state) skip the call entirely. The test has no side effects
-            // and uses the same float ops, so admission behavior is
-            // unchanged.
-            let due = self
-                .next_arrival
-                .is_some_and(|t| t <= self.now + crate::source::arrival_tolerance(self.now));
-            let arrived = if due {
-                hp_phase!(
-                    self,
-                    queue_ns,
-                    self.admit_core::<VALIDATE, false, false, PHOOKS>()
-                )?
-            } else {
-                false
-            };
-            if completed_any && arrived {
-                self.coalesced += 1;
-            }
+            self.advance::<HOOKED, VALIDATE, PHOOKS>(t)?;
+            done += 1;
         }
+        Ok(done)
     }
 
     /// Runs to completion and returns the outcome. Streaming runs must use
@@ -2386,7 +2070,7 @@ impl<'a> Engine<'a> {
                     .into(),
             });
         }
-        self.run_loop()?;
+        self.run_until(u64::MAX)?;
         self.into_outcome()
     }
 
@@ -2403,7 +2087,7 @@ impl<'a> Engine<'a> {
                     .into(),
             });
         }
-        self.run_loop()?;
+        self.run_until(u64::MAX)?;
         let outcome = self.take_outcome()?;
         // The completion log transferred to the outcome (it *is* the
         // outcome). Re-reserve its capacity now, at finalization, so the
@@ -2419,7 +2103,7 @@ impl<'a> Engine<'a> {
     /// simply doesn't recycle memory), so the same finalizer serves the
     /// differential tests on both sides.
     pub fn run_streaming(mut self) -> Result<StreamingOutcome, SimError> {
-        self.run_loop()?;
+        self.run_until(u64::MAX)?;
         self.into_streaming_outcome()
     }
 
@@ -2428,7 +2112,7 @@ impl<'a> Engine<'a> {
     /// allocation-free repeat-run shape: the streaming outcome is
     /// constant-size and nothing per-job survives the run.
     pub fn run_streaming_reusing(mut self) -> Result<(StreamingOutcome, EngineBuffers), SimError> {
-        self.run_loop()?;
+        self.run_until(u64::MAX)?;
         let outcome = self.take_streaming_outcome()?;
         Ok((outcome, self.into_buffers()))
     }
@@ -2858,6 +2542,82 @@ mod tests {
             .run()
             .unwrap_err();
         assert!(matches!(err, SimError::BadInstance { .. }), "{err:?}");
+    }
+
+    /// A source whose clock turns NaN after a few arrivals.
+    struct NanClockSource {
+        emitted: u64,
+    }
+    impl crate::source::ArrivalSource for NanClockSource {
+        fn next_time(&self) -> Option<Time> {
+            Some(if self.emitted < 3 {
+                self.emitted as f64
+            } else {
+                f64::NAN
+            })
+        }
+        fn emit(&mut self, view: &crate::source::SystemView<'_>) -> Vec<JobSpec> {
+            self.emitted += 1;
+            vec![JobSpec::new(
+                JobId(self.emitted),
+                view.now,
+                10.0,
+                Curve::Sequential,
+            )]
+        }
+    }
+
+    #[test]
+    fn non_finite_source_clock_is_an_error_not_a_spin() {
+        for streaming in [false, true] {
+            let mut p = EquiSplit;
+            let mut source = NanClockSource { emitted: 0 };
+            let mut obs = NullObserver;
+            let cfg = EngineConfig::new(1.0).with_streaming(streaming);
+            let mut engine = Engine::new(cfg, &mut p, &mut source, &mut obs);
+            let err = engine.run_loop().unwrap_err();
+            assert!(
+                matches!(&err, SimError::BadInstance { what } if what.contains("next_time")),
+                "{err:?}"
+            );
+            // The clock went bad on the third emission: two arrivals
+            // were admitted, and the error fired where the clock was
+            // read, not at the event limit.
+            assert_eq!(engine.admitted, 2);
+            assert!(engine.events < 10, "{}", engine.events);
+        }
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_m_and_speed_are_rejected() {
+        let instance = inst(&[(0.0, 1.0)], Curve::Sequential);
+        for (m, speed) in [
+            (f64::NAN, 1.0),
+            (0.0, 1.0),
+            (-2.0, 1.0),
+            (f64::INFINITY, 1.0),
+            (1.0, 0.0),
+            (1.0, f64::NAN),
+            (1.0, -2.0),
+        ] {
+            for full_reassign in [false, true] {
+                let mut p = EquiSplit;
+                let mut source = StaticSource::new(&instance);
+                let mut obs = NullObserver;
+                let cfg = EngineConfig::new(m)
+                    .with_speed(speed)
+                    .with_full_reassign(full_reassign);
+                let mut engine = Engine::new(cfg, &mut p, &mut source, &mut obs);
+                for err in [
+                    engine.next_event_time().unwrap_err(),
+                    engine.step().unwrap_err(),
+                ] {
+                    let rejected = matches!(&err, SimError::BadInstance { what }
+                        if what.contains("must be finite and > 0"));
+                    assert!(rejected, "m={m} speed={speed}: {err:?}");
+                }
+            }
+        }
     }
 
     #[test]

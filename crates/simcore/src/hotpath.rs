@@ -1,4 +1,4 @@
-//! Per-phase hot-path profiler for the event loops (`hotpath` feature).
+//! Per-phase hot-path profiler for the event loop (`hotpath` feature).
 //!
 //! Compiled only under the `hotpath` cargo feature and armed at runtime by
 //! [`crate::EngineConfig::with_hotpath_profile`]; with the flag off the

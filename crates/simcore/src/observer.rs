@@ -48,8 +48,8 @@ pub trait Observer {
     ///
     /// Observers returning `true` promise that skipping their callbacks
     /// entirely is indistinguishable from calling them, which lets the
-    /// engine's monomorphized fast loop elide the per-event virtual
-    /// dispatch (see `Engine::run_loop`). The default is `false` — the
+    /// engine's monomorphized event loop elide the per-event virtual
+    /// dispatch (see `Engine::run_until`). The default is `false` — the
     /// conservative answer that keeps every callback firing.
     fn is_noop(&self) -> bool {
         false

@@ -210,7 +210,7 @@ impl PowKernel {
 
     /// A deliberately slow kernel that evaluates every call through
     /// `f64::powf` — the pre-kernel hot-loop cost. Used as the baseline
-    /// arm of the `kernel_speedup_n1e5` measurement and by differential
+    /// of the `kernel_speedup_n1e5` micro-measurement and by differential
     /// tests; never constructed by [`Curve::kernel`].
     #[inline]
     pub fn powf_reference(alpha: f64) -> Self {

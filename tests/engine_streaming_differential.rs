@@ -14,11 +14,21 @@
 //! constant-size sink in the same order. Across per-event paths
 //! (incremental vs legacy) the existing float tolerance applies — the two
 //! paths evaluate algebraically-equal expressions in different orders.
+//!
+//! The event loop is monomorphized over the hooks a run needs (see
+//! `Engine::run_until`): a plain run (no-op observer, no audit) compiles
+//! every observer and audit call out, an observed or audited run keeps
+//! them. Hooks observe the schedule and never perturb it, so the arms
+//! below pin plain ≡ observed ≡ strict-audited **exactly** — metric bits
+//! and per-completion time bits — for every registry policy, and a
+//! mid-run snapshot resumed through the plain loop finishes
+//! bit-identically to the uninterrupted run.
 
 use parsched::PolicyKind;
+use parsched_bench::{mixed_alpha_fixture, overload_fixture, poisson_fixture};
 use parsched_sim::{
-    AuditLevel, Engine, EngineConfig, Instance, JobId, JobSpec, Observer, RunMetrics, StaticSource,
-    Time,
+    AllocationStability, AuditLevel, Engine, EngineConfig, Instance, JobId, JobSpec, NullObserver,
+    Observer, RunMetrics, RunOutcome, Snapshot, StaticSource, Time,
 };
 use parsched_speedup::Curve;
 use proptest::prelude::*;
@@ -230,6 +240,51 @@ proptest! {
         }
     }
 
+    /// Random mixed-curve instances: the plain loop ≡ the observed loop
+    /// for every registry policy, across machine counts including the
+    /// single-machine edge.
+    #[test]
+    fn plain_run_matches_observed_run_on_random_instances(
+        raw in proptest::collection::vec(
+            (0.0f64..12.0, 0.1f64..8.0, 0u8..4, 0.05f64..1.0),
+            1..24,
+        ),
+        m_sel in 0u8..3,
+    ) {
+        let m = [1.0, 2.0, 8.0][m_sel as usize];
+        let jobs: Vec<JobSpec> = raw
+            .into_iter()
+            .enumerate()
+            .map(|(i, r)| job_from(i as u64, r))
+            .collect();
+        let inst = Instance::new(jobs).unwrap();
+        for kind in PolicyKind::all_registered() {
+            assert_plain_matches_observed(&inst, kind, m, "random");
+        }
+    }
+
+    /// Coincident arrivals and ties: many jobs released at identical
+    /// instants force admission batching, zero-dt events, and slot reuse
+    /// in the same event — the paths the hoisted leading admission of
+    /// the plain loop touches most.
+    #[test]
+    fn coincident_releases_match(
+        sizes in proptest::collection::vec(0.25f64..4.0, 2..12),
+        burst_t in 0.0f64..3.0,
+    ) {
+        let jobs: Vec<JobSpec> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| {
+                JobSpec::new(JobId(i as u64), burst_t, p, Curve::power(0.5))
+            })
+            .collect();
+        let inst = Instance::new(jobs).unwrap();
+        for kind in PolicyKind::all_registered() {
+            assert_plain_matches_observed(&inst, kind, 2.0, "coincident");
+        }
+    }
+
     /// Moderately large random workloads (n up to 10⁴ across the suite's
     /// case budget) on the flagship policy, audit sampled: exercises many
     /// admit→retire→reuse cycles per slot.
@@ -339,4 +394,177 @@ fn convenience_entry_points_agree() {
     let st = parsched_sim::simulate_streaming(&mut source, policy2.as_mut(), 4.0).unwrap();
     assert_eq!(mem.metrics, st.metrics);
     assert_eq!(st.admitted, inst.len());
+}
+
+/// One plain run: no-op observer, no audit — the loop instantiation with
+/// every hook compiled out on the incremental path.
+fn run_plain(inst: &Instance, kind: PolicyKind, m: f64) -> RunOutcome {
+    let mut policy = kind.build();
+    let mut source = StaticSource::new(inst);
+    let mut obs = NullObserver;
+    Engine::new(EngineConfig::new(m), policy.as_mut(), &mut source, &mut obs)
+        .run()
+        .unwrap_or_else(|e| panic!("{} (plain): {e}", kind.name()))
+}
+
+/// Completion sequence as raw bits: order, identity, and exact times.
+fn completion_bits(seq: impl IntoIterator<Item = (JobId, Time)>) -> Vec<(u64, u64)> {
+    seq.into_iter().map(|(id, t)| (id.0, t.to_bits())).collect()
+}
+
+fn outcome_bits(out: &RunOutcome) -> Vec<(u64, u64)> {
+    completion_bits(out.completed.iter().map(|c| (c.id, c.completion)))
+}
+
+/// plain ≡ observed, exactly: metric bits and the completion sequence.
+fn assert_plain_matches_observed(inst: &Instance, kind: PolicyKind, m: f64, ctx: &str) {
+    let name = kind.name();
+    let plain = run_plain(inst, kind, m);
+    let (observed, seq) = run_mode(inst, kind, m, false, false, AuditLevel::Off);
+    assert_eq!(plain.metrics, observed, "{ctx}/{name}: observed ≠ plain");
+    assert_eq!(
+        outcome_bits(&plain),
+        completion_bits(seq),
+        "{ctx}/{name}: observed completion sequence ≠ plain"
+    );
+}
+
+/// Registry policies that run on the incremental path, where a plain run
+/// takes the loop instantiation with every hook compiled out. (On the
+/// exhaustive path both runs take the hooked instantiation; the random
+/// instances above still cover those policies.)
+fn incremental_policies() -> Vec<PolicyKind> {
+    PolicyKind::all_registered()
+        .into_iter()
+        .filter(|k| k.build().stability() == AllocationStability::SrptPrefix)
+        .collect()
+}
+
+/// The incremental-path registry policies on the three bench fixtures
+/// (stable load, overload, mixed-α), at a size that crosses arena growth,
+/// slot reuse, and interval re-classification boundaries many times.
+#[test]
+fn plain_and_observed_runs_are_bit_identical_on_bench_fixtures() {
+    let m = 8.0;
+    let kinds = incremental_policies();
+    assert!(kinds.len() >= 5, "{kinds:?}");
+    for (ctx, inst) in [
+        ("stable", poisson_fixture(2_000, 0.9, m)),
+        ("overload", overload_fixture(2_000, m)),
+        ("mixed_alpha", mixed_alpha_fixture(2_000, 0.9, m)),
+    ] {
+        for &kind in &kinds {
+            assert_plain_matches_observed(&inst, kind, m, ctx);
+        }
+    }
+}
+
+/// A strict audit builds a frame at every event, yet the audited run
+/// must reproduce the plain run bit-for-bit: auditing observes the
+/// schedule, it never perturbs it.
+#[test]
+fn strict_audited_run_matches_plain_run_exactly() {
+    let m = 8.0;
+    let inst = mixed_alpha_fixture(1_000, 0.9, m);
+    for kind in PolicyKind::all_registered() {
+        let name = kind.name();
+        let plain = run_plain(&inst, kind, m);
+        let mut policy = kind.build();
+        let mut source = StaticSource::new(&inst);
+        let mut obs = NullObserver;
+        let cfg = EngineConfig::new(m).with_audit(AuditLevel::Strict);
+        let audited = Engine::new(cfg, policy.as_mut(), &mut source, &mut obs)
+            .run()
+            .unwrap_or_else(|e| panic!("{name} (strict audit): {e}"));
+        assert!(
+            audited.audit.is_some(),
+            "{name}: strict audit did not report"
+        );
+        assert_eq!(plain.metrics, audited.metrics, "{name}: audited ≠ plain");
+        assert_eq!(
+            outcome_bits(&plain),
+            outcome_bits(&audited),
+            "{name}: audited completion sequence ≠ plain"
+        );
+    }
+}
+
+/// Suspends a run after `suspend_at` single steps, ships the snapshot
+/// through the text codec, resumes it on a fresh engine (fresh policy
+/// and source values, as a migrated tenant would hold), and runs it out
+/// through the plain loop. The restored engine must rebuild the loop's
+/// derived state (allocation memo, cached next completion) exactly.
+fn suspend_then_resume(inst: &Instance, kind: PolicyKind, m: f64, suspend_at: u64) -> RunOutcome {
+    let name = kind.name();
+    let mut policy = kind.build();
+    let mut source = StaticSource::new(inst);
+    let mut obs = NullObserver;
+    let mut engine = Engine::new(EngineConfig::new(m), policy.as_mut(), &mut source, &mut obs);
+    for _ in 0..suspend_at {
+        match engine.step() {
+            Ok(true) => {}
+            Ok(false) => break, // short run: resume from the finished state
+            Err(e) => panic!("{name}: pre-suspend step: {e}"),
+        }
+    }
+    let snap = engine.snapshot().expect("snapshot");
+    drop(engine);
+
+    let decoded = Snapshot::from_json(&snap.to_json()).expect("parse own rendering");
+    assert_eq!(decoded, snap, "{name}: snapshot codec round trip drifted");
+
+    let mut policy2 = kind.build();
+    let mut source2 = StaticSource::new(inst);
+    let mut obs2 = NullObserver;
+    let mut resumed = Engine::new(
+        EngineConfig::new(m),
+        policy2.as_mut(),
+        &mut source2,
+        &mut obs2,
+    );
+    resumed.restore(&decoded).expect("restore");
+    resumed
+        .run_loop()
+        .unwrap_or_else(|e| panic!("{name}: post-restore run: {e}"));
+    resumed
+        .into_outcome()
+        .unwrap_or_else(|e| panic!("{name}: resumed outcome: {e}"))
+}
+
+fn assert_resume_identical(inst: &Instance, kind: PolicyKind, m: f64, suspend_points: &[u64]) {
+    let name = kind.name();
+    let baseline = run_plain(inst, kind, m);
+    for &suspend_at in suspend_points {
+        let resumed = suspend_then_resume(inst, kind, m, suspend_at);
+        assert_eq!(
+            baseline.metrics, resumed.metrics,
+            "{name}@{suspend_at}: resumed metrics diverge"
+        );
+        assert_eq!(
+            outcome_bits(&baseline),
+            outcome_bits(&resumed),
+            "{name}@{suspend_at}: resumed completion sequence diverges"
+        );
+    }
+}
+
+#[test]
+fn mid_run_snapshot_resumes_bit_identically() {
+    let m = 4.0;
+    let inst = poisson_fixture(600, 0.9, m);
+    for kind in PolicyKind::all_registered() {
+        assert_resume_identical(&inst, kind, m, &[1, 37, 250, 900]);
+    }
+}
+
+/// Mixed-α suspend points, including before the first event: the rebuilt
+/// Γ class registry must assign every resumed job its original class id,
+/// so the per-class rate cache stays bit-identical through later Scan
+/// intervals.
+#[test]
+fn mixed_alpha_snapshot_resumes_bit_identically() {
+    let inst = mixed_alpha_fixture(600, 0.9, 8.0);
+    for kind in [PolicyKind::IntermediateSrpt, PolicyKind::Equi] {
+        assert_resume_identical(&inst, kind, 8.0, &[0, 1, 7, 200, 899]);
+    }
 }

@@ -13,9 +13,13 @@
 //! This is an integration test on purpose: the workspace crates carry
 //! `#![forbid(unsafe_code)]`, and a `GlobalAlloc` impl is necessarily
 //! `unsafe`. Keeping the counter here confines the unsafety to test code.
+//!
+//! Allocations are counted *per thread*: the test harness runs these
+//! cases on parallel threads, and a process-wide counter would charge
+//! one test's audited window with its siblings' allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use parsched::PolicyKind;
 use parsched_sim::{
@@ -25,11 +29,21 @@ use parsched_speedup::Curve;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // `const`-initialised and drop-free, so touching it from inside the
+    // allocator never allocates or registers a destructor.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Charges one allocation to the calling thread.
+fn count_alloc() {
+    // `try_with` only fails during thread teardown, after the audits ran.
+    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.alloc(layout)
     }
 
@@ -40,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // A realloc that moves or grows is an allocation for the purpose
         // of this audit: buffer reuse is supposed to prevent regrowth.
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -48,8 +62,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// A deterministic arrival-heavy workload: `n` power-law jobs with LCG
@@ -130,19 +145,19 @@ fn steady_state_mixed_alpha_runs_allocate_nothing() {
     assert_eq!(third, 0, "third mixed-alpha run allocated {third} times");
 }
 
-/// Runs `inst` through [`Engine::run_loop`] — which takes the
-/// monomorphized fast loop here (incremental policy, no-op observer, no
-/// auditor) — on donated buffers; returns the allocation count observed
+/// Runs `inst` through [`Engine::run_loop`] — the loop instantiation
+/// with every hook compiled out here (incremental policy, no-op observer,
+/// no auditor) — on donated buffers; returns the allocation count observed
 /// strictly inside the loop, plus the buffers. `streaming` toggles the
 /// memory mode; both finalizers run outside the audited window.
-fn audited_fast_run(inst: &Instance, streaming: bool, bufs: EngineBuffers) -> (u64, EngineBuffers) {
+fn audited_loop_run(inst: &Instance, streaming: bool, bufs: EngineBuffers) -> (u64, EngineBuffers) {
     let mut policy = PolicyKind::IntermediateSrpt.build();
     let mut source = StaticSource::new(inst);
     let mut obs = NullObserver;
     let cfg = EngineConfig::new(8.0).with_streaming(streaming);
     let mut engine = Engine::with_buffers(cfg, policy.as_mut(), &mut source, &mut obs, bufs);
     let before = allocs();
-    engine.run_loop().expect("fast run failed");
+    engine.run_loop().expect("run failed");
     let during = allocs() - before;
     let (num_jobs, bufs) = if streaming {
         let (outcome, bufs) = engine.run_streaming_reusing().expect("finalize failed");
@@ -156,9 +171,9 @@ fn audited_fast_run(inst: &Instance, streaming: bool, bufs: EngineBuffers) -> (u
 }
 
 #[test]
-fn fast_loop_steady_state_allocates_nothing() {
-    // The specialized loops inherit the buffer-reuse contract: after a
-    // warm-up, the monomorphized fast loop — including the delta-refresh
+fn run_loop_steady_state_allocates_nothing() {
+    // The finalizers' loop inherits the buffer-reuse contract: after a
+    // warm-up, the whole `run_until` loop — including the per-`n` profile
     // memo, which the mixed-α workload forces through the kernel-class
     // registry and the grouped-Γ rate cache on every re-classification —
     // must run the whole event loop without touching the heap. Audited
@@ -166,20 +181,20 @@ fn fast_loop_steady_state_allocates_nothing() {
     // the completion log and the streaming path exercises the sink.
     let inst = workload_with_alphas(4_000, &[0.25, 0.5, 0.75, 0.37]);
     for streaming in [false, true] {
-        let (warmup_allocs, bufs) = audited_fast_run(&inst, streaming, EngineBuffers::new());
+        let (warmup_allocs, bufs) = audited_loop_run(&inst, streaming, EngineBuffers::new());
         assert!(
             warmup_allocs > 0,
             "warm-up (streaming={streaming}) should have grown the buffers"
         );
-        let (second, bufs) = audited_fast_run(&inst, streaming, bufs);
+        let (second, bufs) = audited_loop_run(&inst, streaming, bufs);
         assert_eq!(
             second, 0,
-            "second fast run (streaming={streaming}) allocated {second} times"
+            "second run_loop run (streaming={streaming}) allocated {second} times"
         );
-        let (third, _bufs) = audited_fast_run(&inst, streaming, bufs);
+        let (third, _bufs) = audited_loop_run(&inst, streaming, bufs);
         assert_eq!(
             third, 0,
-            "third fast run (streaming={streaming}) allocated {third} times"
+            "third run_loop run (streaming={streaming}) allocated {third} times"
         );
     }
 }

@@ -2,7 +2,7 @@
 //! (docs/TESTING.md): the fleet's suspend/migrate/resume machinery is
 //! only sound if a snapshot taken at ANY event boundary, under EVERY
 //! registry policy, in BOTH engine modes, resumes to a bit-identical
-//! remaining trajectory — and if the `parsched-snap/v1` text codec is a
+//! remaining trajectory — and if the `parsched-snap/v2` text codec is a
 //! byte-exact fixed point, since that document is what a migration
 //! actually ships between shards.
 //!
@@ -227,7 +227,7 @@ fn golden_path() -> std::path::PathBuf {
         .join("golden_snapshot.json")
 }
 
-/// The committed `parsched-snap/v1` document must match what the current
+/// The committed `parsched-snap/v2` document must match what the current
 /// engine captures for the same scenario — any change to the snapshot
 /// schema, field order, or float rendering shows up as a diff here.
 /// Regenerate deliberately with:
