@@ -17,6 +17,36 @@ use std::process::ExitCode;
 
 use parsched_analysis::experiments::{all_ids, run, ExpOptions};
 
+// Command output goes through these shadows of `print!`/`println!`: when
+// the reader closes the pipe early (`parsched gen … | head -1`) the
+// process ends quietly with success instead of panicking, which is what
+// std's macros do on a broken pipe.
+macro_rules! print {
+    ($($arg:tt)*) => {
+        write_stdout(format_args!($($arg)*))
+    };
+}
+
+macro_rules! println {
+    () => {
+        write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(2);
+    }
+}
+
 fn usage() -> &'static str {
     "parsched — SPAA'14 'Intermediate Parallelizability' experiment harness
 

@@ -611,3 +611,55 @@ fn bad_load_exits_2() {
         assert_rejected(&out, "--load", &format!("run --stream --load {bad}"));
     }
 }
+
+/// Waits for a child whose stdout the test has closed and asserts it
+/// ended quietly: no panic message and not Rust's panic status 101.
+fn assert_quiet_exit_on_closed_stdout(child: std::process::Child, what: &str) {
+    let out = child.wait_with_output().expect("wait");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{what}: stderr: {stderr}");
+    assert_ne!(out.status.code(), Some(101), "{what}: stderr: {stderr}");
+}
+
+#[test]
+fn closed_stdout_ends_every_subcommand_without_a_panic() {
+    use std::io::BufRead;
+    // `parsched gen … | head -1`: the reader takes one line and closes
+    // the pipe while megabytes of CSV are still being written.
+    let mut child = bin()
+        .args(["gen", "--kind", "poisson", "--n", "200000", "--m", "8"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn");
+    let mut reader = std::io::BufReader::new(child.stdout.take().expect("stdout"));
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("first line");
+    assert!(line.starts_with("id,"), "header: {line}");
+    drop(reader);
+    assert_quiet_exit_on_closed_stdout(child, "gen | head -1");
+
+    // A pipe closed before the first write: every command's first line
+    // of output hits it.
+    let cases: [&[&str]; 5] = [
+        &["list"],
+        &["help"],
+        &["gen", "--kind", "poisson", "--n", "50", "--m", "4"],
+        &[
+            "run", "--stream", "--kind", "poisson", "--n", "200", "--m", "4",
+        ],
+        &[
+            "compare", "--m", "4", "--p", "16", "--alpha", "0.5", "--n", "40", "--load", "0.9",
+        ],
+    ];
+    for args in cases {
+        let mut child = bin()
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn");
+        drop(child.stdout.take());
+        assert_quiet_exit_on_closed_stdout(child, &args.join(" "));
+    }
+}

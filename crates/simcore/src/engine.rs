@@ -333,12 +333,22 @@ impl JobArena {
 /// a direct-indexed vector (`O(1)`, no hashing) with a sorted-vec fallback
 /// for sparse or huge ids. Replaces the seed engine's `HashMap<JobId,
 /// usize>`, whose per-event hashing showed up in arrival-heavy profiles.
+///
+/// Ids below `1024 + 2·live` at insertion go to `dense`; the rest go to
+/// `sparse`, where removal is lazy: the entry's slot becomes 0 (vacant,
+/// as in `dense`) and one `retain` compacts the table once vacated
+/// entries outnumber half of it. Retirement is therefore amortized
+/// `O(1)` after the lookup, and `sparse` never holds more than twice its
+/// live entries plus one, so streaming runs stay O(peak alive).
 #[derive(Debug, Default)]
 struct IdMap {
     /// `dense[id] = index + 1`; 0 marks a vacant slot.
     dense: Vec<u32>,
-    /// Sorted `(id, index + 1)` pairs for ids too large to index directly.
+    /// Sorted `(id, index + 1)` pairs for ids too large to index
+    /// directly; slot 0 marks an entry vacated by `remove`.
     sparse: Vec<(JobId, u32)>,
+    /// Vacated entries in `sparse`.
+    vacant: usize,
     /// Currently mapped ids. In streaming mode completed ids are removed,
     /// so this tracks the *alive* population, not all insertions ever.
     live: usize,
@@ -353,10 +363,10 @@ impl IdMap {
                 }
             }
         }
-        self.sparse
-            .binary_search_by_key(&id, |e| e.0)
-            .ok()
-            .map(|p| self.sparse[p].1 as usize - 1)
+        match self.sparse.binary_search_by_key(&id, |e| e.0) {
+            Ok(p) if self.sparse[p].1 != 0 => Some(self.sparse[p].1 as usize - 1),
+            _ => None,
+        }
     }
 
     /// Inserts a mapping; the id must not be present (callers check first).
@@ -378,11 +388,14 @@ impl IdMap {
                 }
                 self.dense[i] = slot;
             }
-            _ => {
-                if let Err(pos) = self.sparse.binary_search_by_key(&id, |e| e.0) {
-                    self.sparse.insert(pos, (id, slot));
+            _ => match self.sparse.binary_search_by_key(&id, |e| e.0) {
+                Ok(pos) => {
+                    // Only a vacated entry can match: the id is absent.
+                    self.sparse[pos].1 = slot;
+                    self.vacant -= 1;
                 }
-            }
+                Err(pos) => self.sparse.insert(pos, (id, slot)),
+            },
         }
     }
 
@@ -392,12 +405,11 @@ impl IdMap {
     fn reset(&mut self) {
         self.dense.clear();
         self.sparse.clear();
+        self.vacant = 0;
         self.live = 0;
     }
 
-    /// Drops a mapping if present (streaming-mode retirement). Increasing
-    /// arrival ids land at the *end* of the sorted fallback and retire
-    /// from it in roughly SRPT order, so both sides stay O(alive).
+    /// Drops a mapping if present (streaming-mode retirement).
     fn remove(&mut self, id: JobId) {
         if let Ok(i) = usize::try_from(id.0) {
             if let Some(slot) = self.dense.get_mut(i) {
@@ -409,8 +421,15 @@ impl IdMap {
             }
         }
         if let Ok(pos) = self.sparse.binary_search_by_key(&id, |e| e.0) {
-            self.sparse.remove(pos);
-            self.live -= 1;
+            if self.sparse[pos].1 != 0 {
+                self.sparse[pos].1 = 0;
+                self.vacant += 1;
+                self.live -= 1;
+                if 2 * self.vacant > self.sparse.len() {
+                    self.sparse.retain(|e| e.1 != 0);
+                    self.vacant = 0;
+                }
+            }
         }
     }
 }
@@ -1097,15 +1116,23 @@ impl<'a> Engine<'a> {
         // ones, whose ids were forgotten by the original run too. Dense
         // vs. sparse placement may differ from the original insertion
         // history — that is a lookup-performance detail, not observable
-        // state.
-        for (idx, j) in snap.jobs.iter().enumerate() {
-            if self.cfg.streaming && j.done {
-                continue;
+        // state. Ids are inserted in ascending order: recycled streaming
+        // slots hold ids out of order, and inserting them into the sorted
+        // fallback in slot order can shift most of it on every insert
+        // (O(alive²) at worst).
+        let mut by_id: Vec<(JobId, usize)> = snap
+            .jobs
+            .iter()
+            .enumerate()
+            .filter(|(_, j)| !(self.cfg.streaming && j.done))
+            .map(|(idx, j)| (j.spec.id, idx))
+            .collect();
+        by_id.sort_unstable();
+        for (id, idx) in by_id {
+            if self.ids.get(id).is_some() {
+                return Err(bad(format!("snapshot duplicates job id {id}")));
             }
-            if self.ids.get(j.spec.id).is_some() {
-                return Err(bad(format!("snapshot duplicates job id {}", j.spec.id)));
-            }
-            self.ids.insert(j.spec.id, idx);
+            self.ids.insert(id, idx);
         }
         self.free.extend_from_slice(&snap.free);
         self.alive.extend_from_slice(&snap.alive);
@@ -3064,6 +3091,127 @@ mod tests {
         // Removing an absent id is a no-op.
         map.remove(JobId(999));
         assert_eq!(map.live, 1);
+        // A sparse removal vacates its entry in place; re-inserting the
+        // same id reuses it under the new index.
+        for (k, shift) in [40, 41, 42].into_iter().enumerate() {
+            map.insert(JobId(1 << shift), 10 + k);
+        }
+        map.remove(JobId(1 << 41));
+        assert_eq!(map.get(JobId(1 << 41)), None);
+        assert_eq!((map.sparse.len(), map.vacant, map.live), (3, 1, 3));
+        map.insert(JobId(1 << 41), 20);
+        assert_eq!(map.get(JobId(1 << 41)), Some(20));
+        assert_eq!((map.sparse.len(), map.vacant, map.live), (3, 0, 4));
+        // A second vacated entry is more than half of three: compacted.
+        map.remove(JobId(1 << 40));
+        map.remove(JobId(1 << 42));
+        assert_eq!((map.sparse.len(), map.vacant, map.live), (1, 0, 2));
+        assert_eq!(map.get(JobId(1 << 41)), Some(20));
+        map.remove(JobId(1));
+        map.insert(JobId(1), 6);
+        assert_eq!(map.get(JobId(1)), Some(6));
+    }
+
+    /// Drives `IdMap` through a deterministic mix of inserts, removals,
+    /// lookups and re-inserts against a `BTreeMap` model. Ids come from
+    /// four families (dense, huge, increasing, shuffled) and the live
+    /// count swings between growth and shrink phases, so ids cross the
+    /// dense/sparse boundary in both directions and the sparse table is
+    /// compacted many times.
+    #[test]
+    fn id_map_agrees_with_a_btreemap_model() {
+        use std::collections::btree_map::{BTreeMap, Entry};
+        let mut state = 0x1d3a_9e71_u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        };
+        let mut map = IdMap::default();
+        let mut model: BTreeMap<JobId, usize> = BTreeMap::new();
+        let mut removed: Vec<JobId> = Vec::new();
+        let mut increasing = 0u64;
+        let mut compactions = 0usize;
+        let (mut sparse_peak, mut dense_peak, mut reuses) = (0usize, 0usize, 0usize);
+        for op in 0..12_000usize {
+            let (len_before, vacant_before) = (map.sparse.len(), map.vacant);
+            // Growth phases mostly insert, shrink phases mostly remove.
+            let (insert, reinsert, lookup) = if (op / 1_500) % 2 == 0 {
+                (9, 11, 12)
+            } else {
+                (3, 4, 5)
+            };
+            let r = next();
+            let roll = r % 16;
+            let touched = if roll < insert {
+                let id = match (r >> 8) % 4 {
+                    0 => JobId((r >> 16) % 700),
+                    1 => JobId(u64::MAX - (r >> 16) % 5_000),
+                    2 => {
+                        increasing += 1 + (r >> 16) % 4;
+                        JobId(increasing)
+                    }
+                    _ => JobId((r >> 16) % 9_000),
+                };
+                if let Entry::Vacant(e) = model.entry(id) {
+                    assert_eq!(map.get(id), None);
+                    map.insert(id, op);
+                    e.insert(op);
+                }
+                id
+            } else if roll < reinsert && !removed.is_empty() {
+                // A recently removed id comes back under a new index.
+                let id = removed.swap_remove((r >> 8) as usize % removed.len());
+                if let Entry::Vacant(e) = model.entry(id) {
+                    map.insert(id, op);
+                    e.insert(op);
+                }
+                id
+            } else if roll < lookup || model.is_empty() {
+                JobId((r >> 8) % 10_000)
+            } else {
+                let k = (r >> 8) as usize % model.len();
+                let id = *model.keys().nth(k).expect("k < len");
+                map.remove(id);
+                model.remove(&id);
+                if map.sparse.len() < len_before {
+                    compactions += 1;
+                }
+                if removed.len() < 64 {
+                    removed.push(id);
+                }
+                id
+            };
+            assert_eq!(
+                map.get(touched),
+                model.get(&touched).copied(),
+                "op {op} id {touched}"
+            );
+            assert_eq!(map.live, model.len(), "op {op}");
+            for (&id, &idx) in &model {
+                assert_eq!(map.get(id), Some(idx), "op {op} id {id}");
+            }
+            let sparse_live = map.sparse.iter().filter(|e| e.1 != 0).count();
+            assert_eq!(map.vacant, map.sparse.len() - sparse_live, "op {op}");
+            assert!(
+                map.sparse.len() <= 2 * sparse_live + 1,
+                "op {op}: {} sparse entries for {sparse_live} live",
+                map.sparse.len()
+            );
+            assert!(map.sparse.windows(2).all(|w| w[0].0 < w[1].0), "op {op}");
+            if map.sparse.len() == len_before && map.vacant < vacant_before {
+                reuses += 1;
+            }
+            sparse_peak = sparse_peak.max(sparse_live);
+            dense_peak = dense_peak.max(model.len() - sparse_live);
+        }
+        // The sequence must actually reach the paths it is meant to test.
+        assert!(compactions > 10, "{compactions} compactions");
+        assert!(sparse_peak > 100, "sparse peak {sparse_peak}");
+        assert!(dense_peak > 100, "dense peak {dense_peak}");
+        assert!(reuses > 10, "{reuses} vacated entries reused");
     }
 
     #[test]

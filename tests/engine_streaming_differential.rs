@@ -451,11 +451,96 @@ fn plain_and_observed_runs_are_bit_identical_on_bench_fixtures() {
     for (ctx, inst) in [
         ("stable", poisson_fixture(2_000, 0.9, m)),
         ("overload", overload_fixture(2_000, m)),
+        (
+            "overload_sparse_ids",
+            offset_ids(&overload_fixture(2_000, m)),
+        ),
         ("mixed_alpha", mixed_alpha_fixture(2_000, 0.9, m)),
     ] {
         for &kind in &kinds {
             assert_plain_matches_observed(&inst, kind, m, ctx);
         }
+    }
+}
+
+/// Offset that puts every id past the engine id index's dense range, so
+/// each lookup, admission and streaming retirement goes through its
+/// sorted sparse table (lazy removal and compaction).
+const SPARSE_ID_OFFSET: u64 = 1 << 40;
+
+/// `inst` with every job id shifted by [`SPARSE_ID_OFFSET`]. Ids only
+/// name jobs and break ties, and the shift preserves their order, so the
+/// schedule must not change.
+fn offset_ids(inst: &Instance) -> Instance {
+    let jobs = inst
+        .jobs()
+        .iter()
+        .map(|j| {
+            let mut j = j.clone();
+            j.id = JobId(j.id.0 + SPARSE_ID_OFFSET);
+            j
+        })
+        .collect();
+    Instance::new(jobs).expect("shifted ids stay unique")
+}
+
+/// The overload fixture with sparse ids, run streaming (every completion
+/// retires a sparse id) both plain and observed, must finish exactly as
+/// the run of the original dense ids: same metric bits, same completion
+/// sequence up to the id shift. The plain runs advance in lockstep, and
+/// at every checkpoint each job's `remaining_of` must agree bit for bit:
+/// `None` once retired, the same work while alive.
+#[test]
+fn sparse_id_streaming_overload_matches_dense_ids_exactly() {
+    let m = 8.0;
+    let dense = overload_fixture(2_000, m);
+    let sparse = offset_ids(&dense);
+    for kind in incremental_policies() {
+        let name = kind.name();
+        let baseline = run_plain(&dense, kind, m);
+        let (observed, seq) = run_mode(&sparse, kind, m, false, true, AuditLevel::Off);
+        assert_eq!(
+            baseline.metrics, observed,
+            "{name}: sparse-id stream ≠ dense"
+        );
+        let unshifted = seq
+            .into_iter()
+            .map(|(id, t)| (JobId(id.0 - SPARSE_ID_OFFSET), t));
+        assert_eq!(
+            outcome_bits(&baseline),
+            completion_bits(unshifted),
+            "{name}: sparse-id completion sequence ≠ dense"
+        );
+
+        let cfg = EngineConfig::new(m).with_streaming(true);
+        let (mut p_dense, mut p_sparse) = (kind.build(), kind.build());
+        let mut src_dense = StaticSource::new(&dense);
+        let mut src_sparse = StaticSource::new(&sparse);
+        let (mut obs_dense, mut obs_sparse) = (NullObserver, NullObserver);
+        let mut e_dense = Engine::new(cfg, p_dense.as_mut(), &mut src_dense, &mut obs_dense);
+        let mut e_sparse = Engine::new(cfg, p_sparse.as_mut(), &mut src_sparse, &mut obs_sparse);
+        loop {
+            let stepped = e_dense.run_until(97).expect("dense stream");
+            assert_eq!(e_sparse.run_until(97).expect("sparse stream"), stepped);
+            for j in dense.jobs() {
+                let shifted = JobId(j.id.0 + SPARSE_ID_OFFSET);
+                assert_eq!(
+                    e_dense.remaining_of(j.id).map(f64::to_bits),
+                    e_sparse.remaining_of(shifted).map(f64::to_bits),
+                    "{name}: remaining work of job {} diverges",
+                    j.id
+                );
+            }
+            if stepped < 97 {
+                break;
+            }
+        }
+        let plain = e_sparse.into_streaming_outcome().expect("sparse outcome");
+        assert_eq!(
+            baseline.metrics, plain.metrics,
+            "{name}: plain sparse-id stream ≠ dense"
+        );
+        assert_eq!(plain.admitted, dense.len());
     }
 }
 

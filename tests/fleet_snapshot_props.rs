@@ -11,9 +11,9 @@
 //! deterministic yet not tuned to any particular event alignment.
 
 use parsched::PolicyKind;
-use parsched_bench::mixed_alpha_fixture;
+use parsched_bench::{mixed_alpha_fixture, overload_fixture};
 use parsched_sim::{
-    Engine, EngineConfig, Instance, NullObserver, RunMetrics, Snapshot, StaticSource,
+    Engine, EngineConfig, Instance, JobId, NullObserver, RunMetrics, Snapshot, StaticSource,
 };
 
 const M: f64 = 8.0;
@@ -181,6 +181,60 @@ fn every_policy_and_mode_resumes_bit_identically_from_random_suspend_points() {
             }
         }
     }
+}
+
+/// An overloaded stream whose ids are all ≥ 2⁴⁰. Streaming recycles
+/// arena slots, so a mid-run snapshot lists its 100+ alive ids out
+/// of id order, and restore rebuilds the engine's id index entirely in its
+/// sorted sparse table. The resumed run must finish bit-identically, and
+/// a document that gives two alive jobs one id must still be refused.
+#[test]
+fn overloaded_sparse_id_stream_resumes_and_refuses_duplicate_ids() {
+    let shifted = overload_fixture(3_000, M)
+        .jobs()
+        .iter()
+        .map(|j| {
+            let mut j = j.clone();
+            j.id = JobId(j.id.0 + (1 << 40));
+            j
+        })
+        .collect();
+    let inst = Instance::new(shifted).expect("shifted ids stay unique");
+    let kind = PolicyKind::IntermediateSrpt;
+    let (want, _) = baseline(&inst, &kind, true);
+    let events = want.events;
+    for suspend_at in [events / 4, events / 2, 3 * events / 4] {
+        let ctx = format!("sparse-id overload / suspend@{suspend_at}");
+        let (got, _) = suspend_resume(&inst, &kind, true, suspend_at, &ctx);
+        assert_metrics_bit_identical(&got, &want, &ctx);
+    }
+
+    let mut policy = kind.build();
+    let mut source = StaticSource::new(&inst);
+    let mut obs = NullObserver;
+    let mut engine = Engine::new(engine_cfg(true), policy.as_mut(), &mut source, &mut obs);
+    assert_eq!(engine.run_until(events / 2).expect("run"), events / 2);
+    let alive = engine.alive_snapshot();
+    assert!(alive.len() > 100, "only {} alive", alive.len());
+    let (keep, dup) = (alive[0].id, alive[alive.len() / 2].id);
+    let doc = engine.snapshot().expect("snapshot").to_json();
+    drop(engine);
+    // Arena jobs render as `[id, …]`; give `dup`'s record `keep`'s id.
+    let forged = doc.replacen(&format!("[{},", dup.0), &format!("[{},", keep.0), 1);
+    assert!(forged != doc, "job record for {dup} not found");
+    let decoded = Snapshot::from_json(&forged).expect("forged document still parses");
+    let mut policy2 = kind.build();
+    let mut source2 = StaticSource::new(&inst);
+    let mut obs2 = NullObserver;
+    let mut resumed = Engine::new(engine_cfg(true), policy2.as_mut(), &mut source2, &mut obs2);
+    let err = resumed
+        .restore(&decoded)
+        .expect_err("duplicate id must be refused");
+    assert!(
+        err.to_string()
+            .contains(&format!("snapshot duplicates job id {keep}")),
+        "{err}"
+    );
 }
 
 /// A snapshot of a FINISHED run must restore and immediately report
