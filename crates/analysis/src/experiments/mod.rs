@@ -17,6 +17,7 @@
 //! | T3 | Potential-function conditions (§2.1–2.5) hold on traces |
 //! | T4 | EQUI is ~2-competitive on batch release (Edmonds sanity) |
 //! | T5 | Fairness: the stretch trade-off behind SRPT-style policies |
+//! | X1 | Ablation: the greedy hybrid's re-decision quantum (accuracy vs cost) |
 //! | X2 | Speed augmentation rescues EQUI/LAPS (related-work claims) |
 //! | X3 | Ablation: the regime boundary belongs exactly at \|A\| = m |
 //!
@@ -35,6 +36,7 @@ mod t2;
 mod t3;
 mod t4;
 mod t5;
+mod x1;
 mod x2;
 mod x3;
 
@@ -109,7 +111,7 @@ impl ExpResult {
 /// All experiment ids, in presentation order.
 pub fn all_ids() -> &'static [&'static str] {
     &[
-        "f1", "f2", "f3", "f4", "f5", "f6", "t1", "t2", "t3", "t4", "t5", "x2", "x3",
+        "f1", "f2", "f3", "f4", "f5", "f6", "t1", "t2", "t3", "t4", "t5", "x1", "x2", "x3",
     ]
 }
 
@@ -127,6 +129,7 @@ pub fn run(id: &str, opts: &ExpOptions) -> Option<ExpResult> {
         "t3" => Some(t3::run(opts)),
         "t4" => Some(t4::run(opts)),
         "t5" => Some(t5::run(opts)),
+        "x1" => Some(x1::run(opts)),
         "x2" => Some(x2::run(opts)),
         "x3" => Some(x3::run(opts)),
         _ => None,
@@ -182,6 +185,7 @@ mod tests {
                     | "t3"
                     | "t4"
                     | "t5"
+                    | "x1"
                     | "x2"
                     | "x3"
             ));

@@ -52,7 +52,7 @@ fn usage() -> &'static str {
 
 USAGE:
   parsched list                         list experiment ids and titles
-  parsched exp <id> [FLAGS]             run one experiment (f1..f6, t1..t5, x2..x3)
+  parsched exp <id> [FLAGS]             run one experiment (f1..f6, t1..t5, x1..x3)
   parsched all [FLAGS]                  run the whole suite
   parsched sweep [--jobs N] [ids...]    run experiments through the
                                         work-stealing sweep pool
@@ -109,6 +109,7 @@ BENCH-SNAPSHOT OPTIONS:
   --out <file>    where to write the JSON (default BENCH_engine.json)
   --quick         drop the n = 100_000 rows and the n = 10⁷ streaming
                   measurement (CI smoke; the streaming fields become null)
+                  and time the experiments at quick size
 
 ADVERSARY OPTIONS:
   --policy <p|all>     target policy token, or 'all' for the standard set
@@ -166,7 +167,8 @@ struct Flags {
     quick: bool,
     csv: bool,
     md: bool,
-    seed: u64,
+    /// `--seed`, kept apart from `named`; each command picks its default.
+    seed: Option<u64>,
     named: Vec<(String, String)>,
 }
 
@@ -175,7 +177,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
         quick: false,
         csv: false,
         md: false,
-        seed: ExpOptions::default().seed,
+        seed: None,
         named: Vec::new(),
     };
     let mut i = 0;
@@ -187,7 +189,7 @@ fn parse_flags(args: &[String]) -> Result<Flags, String> {
             "--seed" => {
                 i += 1;
                 let v = args.get(i).ok_or("--seed needs a value")?;
-                flags.seed = v.parse().map_err(|e| format!("bad seed: {e}"))?;
+                flags.seed = Some(v.parse().map_err(|e| format!("bad seed: {e}"))?);
             }
             "--bracket" => flags.named.push(("bracket".to_string(), String::new())),
             "--stream" => flags.named.push(("stream".to_string(), String::new())),
@@ -221,31 +223,61 @@ impl Flags {
             .map(|(_, v)| v.as_str())
     }
 
-    fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.named
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, v)| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    /// A flag that must be a finite number > 0 (processor counts, speeds,
-    /// loads): a bad value is an error before anything runs, never a
-    /// silent default or a NaN handed to the engine.
-    fn get_positive(&self, key: &str, default: f64) -> Result<f64, String> {
+    /// `--key` parsed as a `T` that satisfies `valid`, or `default` when
+    /// the flag is absent. A value that does not parse or is out of range
+    /// is an error before anything runs, never a silent default, a
+    /// saturating cast, or a NaN handed to the engine.
+    fn get_checked<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: T,
+        expected: &str,
+        valid: impl Fn(&T) -> bool,
+    ) -> Result<T, String> {
         let Some(raw) = self.get_str(key) else {
             return Ok(default);
         };
-        match raw.parse::<f64>() {
-            Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
-            _ => Err(format!("--{key} must be a finite number > 0, got '{raw}'")),
+        match raw.parse::<T>() {
+            Ok(v) if valid(&v) => Ok(v),
+            _ => Err(format!("bad --{key}: expected {expected}, got '{raw}'")),
         }
+    }
+
+    /// A count: jobs, workers, budgets, tenants.
+    fn get_count(&self, key: &str, default: usize) -> Result<usize, String> {
+        self.get_checked(key, default, "a non-negative integer", |_| true)
+    }
+
+    /// A finite number > 0: processor counts, speeds, loads, rates.
+    fn get_positive(&self, key: &str, default: f64) -> Result<f64, String> {
+        self.get_checked(key, default, "a finite number > 0", |v| {
+            v.is_finite() && *v > 0.0
+        })
+    }
+
+    /// A parallelizability exponent α ∈ [0, 1].
+    fn get_alpha(&self, key: &str, default: f64) -> Result<f64, String> {
+        self.get_checked(key, default, "a number in [0, 1]", |v| {
+            (0.0..=1.0).contains(v)
+        })
+    }
+
+    /// A job-size bound `P ≥ 1`.
+    fn get_size_bound(&self, key: &str, default: f64) -> Result<f64, String> {
+        self.get_checked(key, default, "a finite number >= 1", |v| {
+            v.is_finite() && *v >= 1.0
+        })
+    }
+
+    /// `--seed`, or the experiment suite's default seed.
+    fn seed(&self) -> u64 {
+        self.seed.unwrap_or(ExpOptions::default().seed)
     }
 
     fn opts(&self) -> ExpOptions {
         ExpOptions {
             quick: self.quick,
-            seed: self.seed,
+            seed: self.seed(),
         }
     }
 }
@@ -277,13 +309,7 @@ fn cmd_sweep(args: &[String]) -> Result<bool, String> {
         .cloned()
         .partition(|a| all_ids().contains(&a.as_str()));
     let flags = parse_flags(&flag_args)?;
-    let jobs = flags
-        .named
-        .iter()
-        .find(|(k, _)| k == "jobs")
-        .map(|(_, v)| v.parse::<usize>().map_err(|e| format!("bad --jobs: {e}")))
-        .transpose()?
-        .unwrap_or(0);
+    let jobs = flags.get_count("jobs", 0)?;
     parsched_analysis::set_sweep_jobs(jobs);
     let ids: Vec<&str> = if ids.is_empty() {
         all_ids().to_vec()
@@ -295,18 +321,11 @@ fn cmd_sweep(args: &[String]) -> Result<bool, String> {
     let mut all_pass = true;
     for id in &ids {
         let start = std::time::Instant::now();
-        let res = run(id, &flags.opts()).ok_or_else(|| {
-            format!(
-                "unknown experiment '{id}' (expected one of {})",
-                all_ids().join(", ")
-            )
-        })?;
-        print_result(&res, &flags);
+        all_pass &= cmd_exp(id, &flags)?;
         eprintln!(
             "{id}: {:.2}s on {workers} worker(s)",
             start.elapsed().as_secs_f64()
         );
-        all_pass &= res.pass;
     }
     Ok(all_pass)
 }
@@ -325,13 +344,7 @@ fn cmd_exp(id: &str, flags: &Flags) -> Result<bool, String> {
 fn cmd_all(flags: &Flags) -> bool {
     let mut all_pass = true;
     for id in all_ids() {
-        match run(id, &flags.opts()) {
-            Some(res) => {
-                print_result(&res, flags);
-                all_pass &= res.pass;
-            }
-            None => unreachable!("registry ids always resolve"),
-        }
+        all_pass &= cmd_exp(id, flags).expect("registry ids always resolve");
     }
     println!(
         "suite verdict: {}",
@@ -352,9 +365,9 @@ fn cmd_compare(flags: &Flags) -> Result<(), String> {
     use parsched_workloads::random::{AlphaDist, PoissonWorkload, SizeDist};
 
     let m = flags.get_positive("m", 8.0)?;
-    let p = flags.get_f64("p", 64.0);
-    let alpha = flags.get_f64("alpha", 0.5);
-    let n = flags.get_f64("n", 300.0) as usize;
+    let p = flags.get_size_bound("p", 64.0)?;
+    let alpha = flags.get_alpha("alpha", 0.5)?;
+    let n = flags.get_count("n", 300)?;
     let load = flags.get_positive("load", 0.9)?;
     let sizes = SizeDist::LogUniform { p };
     let w = PoissonWorkload {
@@ -362,14 +375,14 @@ fn cmd_compare(flags: &Flags) -> Result<(), String> {
         rate: PoissonWorkload::rate_for_load(load, m, &sizes),
         sizes,
         alphas: AlphaDist::Fixed(alpha),
-        seed: flags.seed,
+        seed: flags.seed(),
     };
     let inst = w.generate().map_err(|e| e.to_string())?;
     let est = OptEstimate::bracket(&inst, m).map_err(|e| e.to_string())?;
     let mut table = Table::new(
         format!(
             "compare: m={m}, P={p}, α={alpha}, n={n}, load={load}, seed={}",
-            flags.seed
+            flags.seed()
         ),
         &["policy", "total flow", "mean flow", "max flow", "ratio ∈"],
     );
@@ -404,17 +417,12 @@ fn cmd_gen(flags: &Flags) -> Result<(), String> {
     use parsched_workloads::random::{AlphaDist, PoissonWorkload, SizeDist};
     use parsched_workloads::{batch::BatchWorkload, GreedyTrap};
 
-    let kind = flags
-        .named
-        .iter()
-        .find(|(k, _)| k == "kind")
-        .map(|(_, v)| v.as_str())
-        .unwrap_or("poisson");
-    let n = flags.get_f64("n", 200.0) as usize;
+    let kind = flags.get_str("kind").unwrap_or("poisson");
+    let n = flags.get_count("n", 200)?;
     let m = flags.get_positive("m", 8.0)?;
     let load = flags.get_positive("load", 0.9)?;
-    let alpha = flags.get_f64("alpha", 0.5);
-    let p = flags.get_f64("p", 32.0);
+    let alpha = flags.get_alpha("alpha", 0.5)?;
+    let p = flags.get_size_bound("p", 32.0)?;
     let instance = match kind {
         "poisson" => {
             let sizes = SizeDist::LogUniform { p };
@@ -423,7 +431,7 @@ fn cmd_gen(flags: &Flags) -> Result<(), String> {
                 rate: PoissonWorkload::rate_for_load(load, m, &sizes),
                 sizes,
                 alphas: AlphaDist::Fixed(alpha),
-                seed: flags.seed,
+                seed: flags.seed(),
             }
             .generate()
         }
@@ -431,7 +439,7 @@ fn cmd_gen(flags: &Flags) -> Result<(), String> {
             n,
             sizes: SizeDist::LogUniform { p },
             alphas: AlphaDist::Fixed(alpha),
-            seed: flags.seed,
+            seed: flags.seed(),
         }
         .generate(),
         "sawtooth" => {
@@ -440,9 +448,9 @@ fn cmd_gen(flags: &Flags) -> Result<(), String> {
         "trap" => GreedyTrap::new(m as usize, alpha).instance(),
         "mix" => DatacenterMix {
             n,
-            rate: flags.get_f64("rate", m / 4.0),
+            rate: flags.get_positive("rate", m / 4.0)?,
             p,
-            seed: flags.seed,
+            seed: flags.seed(),
         }
         .generate(),
         other => return Err(format!("unknown workload kind '{other}'")),
@@ -465,30 +473,17 @@ fn cmd_run_stream(flags: &Flags) -> Result<(), String> {
         GreedyTrap, PhaseFamily, PhaseStreamSource, PoissonSource, TrapStreamSource,
     };
 
-    let kind_name = flags
-        .named
-        .iter()
-        .find(|(k, _)| k == "kind")
-        .map(|(_, v)| v.as_str())
-        .unwrap_or("poisson");
-    let n = flags.get_f64("n", 100_000.0) as usize;
+    let kind_name = flags.get_str("kind").unwrap_or("poisson");
+    let n = flags.get_count("n", 100_000)?;
     let m = flags.get_positive("m", 8.0)?;
     let load = flags.get_positive("load", 0.9)?;
-    let alpha = flags.get_f64("alpha", 0.5);
-    let p = flags.get_f64("p", 64.0);
-    let policy_kind: PolicyKind = flags
-        .named
-        .iter()
-        .find(|(k, _)| k == "policy")
-        .map(|(_, v)| v.as_str())
-        .unwrap_or("isrpt")
-        .parse()?;
+    let alpha = flags.get_alpha("alpha", 0.5)?;
+    let p = flags.get_size_bound("p", 64.0)?;
+    let policy_kind: PolicyKind = flags.get_str("policy").unwrap_or("isrpt").parse()?;
     let speed = flags.get_positive("speed", 1.0)?;
     let audit: AuditLevel = flags
-        .named
-        .iter()
-        .find(|(k, _)| k == "audit")
-        .map(|(_, v)| v.parse())
+        .get_str("audit")
+        .map(str::parse)
         .transpose()?
         .unwrap_or(AuditLevel::Off);
 
@@ -501,7 +496,7 @@ fn cmd_run_stream(flags: &Flags) -> Result<(), String> {
                 rate: PoissonWorkload::rate_for_load(load, m, &sizes),
                 sizes,
                 alphas: AlphaDist::Fixed(alpha),
-                seed: flags.seed,
+                seed: flags.seed(),
             }))
         }
         "trap" => {
@@ -582,14 +577,11 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
     use parsched_sim::trace::{record_run_with_config, trace_to_json};
     use parsched_sim::{AllocationTrace, AuditLevel, Engine, EngineConfig, StaticSource};
 
-    if flags.named.iter().any(|(k, _)| k == "stream") {
+    if flags.get_str("stream").is_some() {
         return cmd_run_stream(flags);
     }
     let path = flags
-        .named
-        .iter()
-        .find(|(k, _)| k == "instance")
-        .map(|(_, v)| v.clone())
+        .get_str("instance")
         .ok_or("run needs --instance <file>")?;
     let text = if path == "-" {
         use std::io::Read as _;
@@ -599,23 +591,15 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
             .map_err(|e| e.to_string())?;
         s
     } else {
-        std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?
+        std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?
     };
     let instance = instance_from_csv(&text).map_err(|e| e.to_string())?;
-    let kind: PolicyKind = flags
-        .named
-        .iter()
-        .find(|(k, _)| k == "policy")
-        .map(|(_, v)| v.as_str())
-        .unwrap_or("isrpt")
-        .parse()?;
+    let kind: PolicyKind = flags.get_str("policy").unwrap_or("isrpt").parse()?;
     let m = flags.get_positive("m", 8.0)?;
     let speed = flags.get_positive("speed", 1.0)?;
     let audit: AuditLevel = flags
-        .named
-        .iter()
-        .find(|(k, _)| k == "audit")
-        .map(|(_, v)| v.parse())
+        .get_str("audit")
+        .map(str::parse)
         .transpose()?
         .unwrap_or(AuditLevel::Off);
     let mut policy = kind.build();
@@ -646,7 +630,7 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
     if let Some(report) = &outcome.audit {
         println!("  {report}");
     }
-    if let Some((_, path)) = flags.named.iter().find(|(k, _)| k == "trace") {
+    if let Some(path) = flags.get_str("trace") {
         // The recording observer consumes the allocation stream (exhaustive
         // path), so the trace is produced by a second, deterministic run
         // with the same configuration.
@@ -662,14 +646,14 @@ fn cmd_run(flags: &Flags) -> Result<(), String> {
             rec.events.len()
         );
     }
-    if let Some((_, cols)) = flags.named.iter().find(|(k, _)| k == "gantt") {
-        let width: usize = cols.parse().unwrap_or(72).clamp(8, 400);
+    if flags.get_str("gantt").is_some() {
+        let width = flags.get_count("gantt", 72)?.clamp(8, 400);
         println!(
             "\n{}",
             render_gantt(trace.segments(), mm.makespan.max(1e-9), width, 1.0)
         );
     }
-    if flags.named.iter().any(|(k, _)| k == "bracket") {
+    if flags.get_str("bracket").is_some() {
         let est = OptEstimate::bracket(&instance, m).map_err(|e| e.to_string())?;
         let (lo, hi) = est.ratio_interval(mm.total_flow);
         println!(
@@ -692,10 +676,8 @@ fn cmd_audit(path: &str, flags: &Flags) -> Result<bool, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let trace = trace_from_json(&text).map_err(|e| e.to_string())?;
     let level: AuditLevel = flags
-        .named
-        .iter()
-        .find(|(k, _)| k == "level")
-        .map(|(_, v)| v.parse())
+        .get_str("level")
+        .map(str::parse)
         .transpose()?
         .unwrap_or(AuditLevel::Strict);
     println!(
@@ -732,434 +714,52 @@ fn cmd_audit(path: &str, flags: &Flags) -> Result<bool, String> {
     }
 }
 
+/// `parsched bench-snapshot`: runs the `parsched_bench::snapshot` grid
+/// and writes the JSON document, stamped with this binary's build
+/// provenance.
 fn cmd_bench_snapshot(flags: &Flags) -> Result<(), String> {
-    use parsched::PolicyKind;
-    use parsched_bench::{
-        mixed_alpha_fixture, overload_fixture, poisson_fixture, poisson_stream_fixture,
-        timed_audited_run, timed_run, timed_streaming_run,
-    };
-    use parsched_sim::{AllocationStability, AuditLevel};
+    use parsched_bench::snapshot::{git_commit, measure, Profiler};
 
-    struct Row {
-        policy: String,
-        fixture: &'static str,
-        mode: &'static str,
-        n: usize,
-        m: f64,
-        events: u64,
-        seconds: f64,
-        events_per_sec: f64,
-    }
-
-    let out_path = flags
-        .named
-        .iter()
-        .find(|(k, _)| k == "out")
-        .map(|(_, v)| v.clone())
-        .unwrap_or_else(|| "BENCH_engine.json".to_string());
-    let sizes: &[usize] = if flags.quick {
-        &[1_000, 10_000]
-    } else {
-        &[1_000, 10_000, 100_000]
-    };
-    let m = 8.0;
-
-    // The streaming large-n measurement runs FIRST: `VmHWM` is a
-    // whole-process high-water mark, so the in-memory fixtures below would
-    // otherwise inflate it and the recorded RSS would say nothing about
-    // the streaming path.
-    let (streaming_wall_n1e7, streaming_rss_n1e7) = if flags.quick {
-        (None, None)
-    } else {
-        let n = 10_000_000usize;
-        eprintln!("  streaming n=10^7 (runs first so peak RSS reflects the streaming path)…");
-        let mut src = poisson_stream_fixture(n, 0.9, m);
-        let mut policy = PolicyKind::IntermediateSrpt.build();
-        let s = timed_streaming_run(&mut src, policy.as_mut(), m, AuditLevel::Off);
-        eprintln!(
-            "  {:<22} n={n:<8} {:<11} {:>12.0} events/s, {:.1}s, peak alive {}, RSS {}",
-            "Intermediate-SRPT",
-            "streaming",
-            s.events_per_sec,
-            s.seconds,
-            s.peak_alive,
-            s.peak_rss_bytes
-                .map(|b| format!("{:.1} MiB", b as f64 / (1024.0 * 1024.0)))
-                .unwrap_or_else(|| "n/a".to_string())
-        );
-        (Some(s.seconds), s.peak_rss_bytes)
-    };
-    let kinds = [
-        PolicyKind::IntermediateSrpt,
-        PolicyKind::SequentialSrpt,
-        PolicyKind::ParallelSrpt,
-        PolicyKind::Equi,
-        PolicyKind::Threshold(2.0),
-    ];
-
-    let mut rows: Vec<Row> = Vec::new();
-    // Prints one measured row to stderr and records it.
-    let mut record = |policy: String,
-                      fixture: &'static str,
-                      mode: &'static str,
-                      n: usize,
-                      (events, seconds, events_per_sec): (u64, f64, f64)| {
-        eprintln!("  {policy:<22} n={n:<7} {mode:<15} {events_per_sec:>12.0} events/s ({fixture})");
-        rows.push(Row {
-            policy,
-            fixture,
-            mode,
-            n,
-            m,
-            events,
-            seconds,
-            events_per_sec,
-        });
-    };
-    let isrpt = || "Intermediate-SRPT".to_string();
-    let sample = |s: parsched_bench::SnapshotSample| (s.events, s.seconds, s.events_per_sec);
-    let isrpt_run = |inst: &parsched_sim::Instance, full_reassign: bool| {
-        let mut policy = PolicyKind::IntermediateSrpt.build();
-        sample(timed_run(inst, policy.as_mut(), m, full_reassign))
-    };
-    for &n in sizes {
-        let inst = poisson_fixture(n, 0.9, m);
-        for kind in &kinds {
-            let mut policy = kind.build();
-            let mode = match policy.stability() {
-                AllocationStability::SrptPrefix => "incremental",
-                AllocationStability::General => "exhaustive",
-            };
-            let s = timed_run(&inst, policy.as_mut(), m, false);
-            record(kind.name(), "poisson-0.9", mode, n, sample(s));
-        }
-        // Streaming path on the same fixture: same event loop, free-list
-        // arena and constant-size sink instead of growing vectors — its
-        // throughput should sit within noise of the incremental row above.
-        {
-            let mut src = poisson_stream_fixture(n, 0.9, m);
-            let mut policy = PolicyKind::IntermediateSrpt.build();
-            let s = timed_streaming_run(&mut src, policy.as_mut(), m, AuditLevel::Off);
-            let s = (s.events, s.seconds, s.events_per_sec);
-            record(isrpt(), "poisson-0.9", "streaming", n, s);
-        }
-        // Audit-layer overhead: the same fixture and policy with the
-        // invariant auditor at its sampled (production) and strict
-        // (every-event) levels. The acceptance bar is sampled ≤ 2× the
-        // unaudited throughput.
-        if n == 10_000 {
-            for (mode, level) in [
-                ("audited-sampled", AuditLevel::Sampled(64)),
-                ("audited-strict", AuditLevel::Strict),
-            ] {
-                let mut policy = PolicyKind::IntermediateSrpt.build();
-                let s = timed_audited_run(&inst, policy.as_mut(), m, level);
-                record(isrpt(), "poisson-0.9", mode, n, sample(s));
-            }
-        }
-        // Legacy oracle (full reassignment every event) for the headline
-        // speed-up ratios. Quadratic per run, so cap it at n = 10_000.
-        if n <= 10_000 {
-            record(isrpt(), "poisson-0.9", "legacy", n, isrpt_run(&inst, true));
-        }
-        // Mixed-α fixture: per-job α from {0.25, 0.5, 0.75, 0.37}, the
-        // workload that actually drives the multi-class Scan path (class
-        // registry + per-class Γ rate cache + grouped gamma_by_class).
-        // Single-α fixtures collapse to one kernel class. Overload-heavy
-        // fixture: the alive set grows ~linearly with n, so this is where
-        // the O(n) vs O(log n) per-event separation shows.
-        for (fixture, inst) in [
-            ("mixed-alpha-0.9", mixed_alpha_fixture(n, 0.9, m)),
-            ("poisson-1.5", overload_fixture(n, m)),
-        ] {
-            record(isrpt(), fixture, "incremental", n, isrpt_run(&inst, false));
-            if n <= 10_000 {
-                record(isrpt(), fixture, "legacy", n, isrpt_run(&inst, true));
-            }
-        }
-    }
-
-    let pick_rate = |fixture: &str, mode: &str, n: usize| {
-        rows.iter()
-            .find(|r| {
-                r.policy == "Intermediate-SRPT"
-                    && r.fixture == fixture
-                    && r.mode == mode
-                    && r.n == n
-            })
-            .map(|r| r.events_per_sec)
-    };
-    let ratio = |fixture: &str| match (
-        pick_rate(fixture, "incremental", 10_000),
-        pick_rate(fixture, "legacy", 10_000),
-    ) {
-        (Some(inc), Some(leg)) if leg > 0.0 => inc / leg,
-        _ => f64::NAN,
-    };
-    let speedup = ratio("poisson-0.9");
-    let overload_speedup = ratio("poisson-1.5");
-    let mixed_alpha_speedup = ratio("mixed-alpha-0.9");
-    // Audit overhead: unaudited / audited throughput at n = 10_000
-    // (≥ 1; the acceptance bar for the sampled level is ≤ 2).
-    let audit_overhead = |mode: &str| {
-        let pick = |m: &str| {
-            rows.iter()
-                .find(|r| {
-                    r.policy == "Intermediate-SRPT"
-                        && r.fixture == "poisson-0.9"
-                        && r.mode == m
-                        && r.n == 10_000
-                })
-                .map(|r| r.events_per_sec)
-        };
-        match (pick("incremental"), pick(mode)) {
-            (Some(base), Some(audited)) if audited > 0.0 => base / audited,
-            _ => f64::NAN,
-        }
-    };
-    let sampled_overhead = audit_overhead("audited-sampled");
-    let strict_overhead = audit_overhead("audited-strict");
-    // Kernel speed-up, measured per evaluation: 10^5 Γ evaluations on
-    // shares spanning (1, m] — the supra-knee domain where the power law
-    // actually evaluates — through the classified kernel vs per-call
-    // `powf`, best of 7 passes each. This is what the kernel delivers per
-    // call; Γ evaluations are a few percent of event cost on the engine
-    // fixtures, so the engine-level effect sits near 1.0 by design. See
-    // docs/PERF.md §6 for the cost model.
-    let (kernel_speedup_n1e5, kernel_eval_ns, powf_eval_ns) = {
-        use parsched_speedup::PowKernel;
-        let pts = 100_000usize;
-        let xs: Vec<f64> = (0..pts)
-            .map(|i| 1.0 + (i as f64 + 0.5) * (m - 1.0) / pts as f64)
-            .collect();
-        let alpha = 0.5; // the snapshot fixture's α
-                         // The engine loads kernels from job records, so α and the
-                         // classification are runtime data there; black_box the kernel to
-                         // keep LLVM from constant-folding `powf(x, 0.5)` into the very
-                         // sqrt the kernel arm is being compared against.
-        let time_evals = |k: PowKernel| {
-            let k = std::hint::black_box(k);
-            let mut best = f64::INFINITY;
-            for _ in 0..7 {
-                let start = std::time::Instant::now();
-                let mut acc = 0.0;
-                for &x in &xs {
-                    acc += k.eval(std::hint::black_box(x));
-                }
-                std::hint::black_box(acc);
-                best = best.min(start.elapsed().as_secs_f64());
-            }
-            best
-        };
-        let t_powf = time_evals(PowKernel::powf_reference(alpha));
-        let t_kernel = time_evals(PowKernel::new(alpha));
-        (
-            t_powf / t_kernel,
-            t_kernel / pts as f64 * 1e9,
-            t_powf / pts as f64 * 1e9,
-        )
-    };
-    eprintln!(
-        "  kernel eval: {kernel_eval_ns:.1} ns vs powf {powf_eval_ns:.1} ns \
-         ({kernel_speedup_n1e5:.1}x over 10^5 evaluations, α = 0.5)"
-    );
-    // Per-phase hot-path profile (`hotpath` builds only): one profiled
-    // pass on the stable n = 10^4 fixture. Stamping costs ~2 clock reads
-    // per phase, so these numbers compare phases with each other; the
-    // unprofiled rows above are the throughput of record.
+    let out_path = flags.get_str("out").unwrap_or("BENCH_engine.json");
     #[cfg(feature = "hotpath")]
-    let hotpath_ns: Option<String> = {
-        use parsched_sim::{Engine, EngineConfig, NullObserver, StaticSource};
-        let inst = poisson_fixture(10_000, 0.9, m);
-        let cfg = EngineConfig::new(m).with_hotpath_profile(true);
-        let mut policy = PolicyKind::IntermediateSrpt.build();
-        let mut src = StaticSource::new(&inst);
-        let mut obs = NullObserver;
-        let mut eng = Engine::new(cfg, policy.as_mut(), &mut src, &mut obs);
-        eng.run_loop().expect("profiled run");
-        let hp = eng.hotpath_totals();
-        let (queue, refresh, metrics, dispatch) = hp.per_event();
-        Some(format!(
-            "{{\"fixture\": \"poisson-0.9 n=10000\", \"unit\": \"ns/event\", \
-             \"queue\": {queue:.1}, \"refresh\": {refresh:.1}, \
-             \"metrics\": {metrics:.1}, \"dispatch\": {dispatch:.1}, \
-             \"events\": {}}}",
-            hp.events
-        ))
-    };
+    let profiler: Option<Profiler> = Some(hotpath_profile);
     #[cfg(not(feature = "hotpath"))]
-    let hotpath_ns: Option<String> = None;
-    // Sweep-pool scaling: a 32-run Intermediate-SRPT grid (n = 2_000
-    // Poisson runs, distinct seeds) through the work-stealing pool at 1
-    // vs 8 workers, each worker recycling one set of engine buffers.
-    // Reported as serial-time / 8-worker-time; on a single-core host
-    // this sits near 1.0 — read it against `host_cores`.
-    let (sweep_scaling_8c, host_cores) = {
-        use parsched_analysis::{simulate_audited_reusing, Pool};
-        use parsched_sim::EngineBuffers;
-        use parsched_workloads::random::{AlphaDist, PoissonWorkload, SizeDist};
-        let run_sweep = |jobs: usize| {
-            let seeds: Vec<u64> = (0..32).collect();
-            let start = std::time::Instant::now();
-            let flows = Pool::new(jobs).map_with(EngineBuffers::new, seeds, |bufs, seed| {
-                let sizes = SizeDist::LogUniform { p: 32.0 };
-                let w = PoissonWorkload {
-                    n: 2_000,
-                    rate: PoissonWorkload::rate_for_load(0.9, m, &sizes),
-                    sizes,
-                    alphas: AlphaDist::Fixed(0.5),
-                    seed,
-                };
-                let inst = w.generate().expect("sweep fixture");
-                let mut policy = PolicyKind::IntermediateSrpt.build();
-                let (out, next) = simulate_audited_reusing(
-                    std::mem::take(bufs),
-                    &inst,
-                    policy.as_mut(),
-                    m,
-                    AuditLevel::Off,
-                );
-                *bufs = next;
-                out.expect("sweep run").metrics.total_flow
-            });
-            (start.elapsed().as_secs_f64(), flows)
-        };
-        let (t_serial, serial_flows) = run_sweep(1);
-        let (t_pool8, pool_flows) = run_sweep(8);
-        // The scaling number is only meaningful if the pool is invisible
-        // in the results — the ordering guarantee, checked bit-for-bit.
-        for (a, b) in serial_flows.iter().zip(&pool_flows) {
-            assert_eq!(a.to_bits(), b.to_bits(), "pool diverged from serial sweep");
-        }
-        let cores = std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1);
-        eprintln!(
-            "  sweep pool: serial {t_serial:.3}s vs 8 workers {t_pool8:.3}s \
-             ({:.2}x on {cores} core(s))",
-            t_serial / t_pool8
-        );
-        (t_serial / t_pool8, cores)
-    };
-
-    // Hand-rolled JSON: the offline serde shim only type-checks derives,
-    // it does not serialize.
-    // Measurement provenance: which compiler and opt-level produced the
-    // binary (baked in at build time), and which commit it measured
-    // (read at run time; null outside a git checkout). A snapshot from a
-    // debug build or a dirty toolchain must be recognizable as such.
-    let git_commit = std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty());
-
-    let mut json = String::new();
-    json.push_str("{\n");
-    json.push_str("  \"schema\": \"parsched-bench-snapshot/v1\",\n");
-    json.push_str(&format!(
-        "  \"rustc_version\": \"{}\",\n",
-        env!("PARSCHED_RUSTC_VERSION").replace('"', "'")
-    ));
-    json.push_str(&format!(
-        "  \"opt_level\": \"{}\",\n",
-        env!("PARSCHED_OPT_LEVEL")
-    ));
-    json.push_str(&format!(
-        "  \"git_commit\": {},\n",
-        git_commit
-            .map(|c| format!("\"{}\"", c.replace('"', "'")))
-            .unwrap_or_else(|| "null".to_string())
-    ));
-    json.push_str(
-        "  \"fixture\": \"PoissonWorkload, alpha=0.5, sizes log-uniform [1,32], seed 0xbe9c; \
-         poisson-0.9 = load 0.9, poisson-1.5 = overload load 1.5, mixed-alpha-0.9 = load 0.9 \
-         with per-job alpha from {0.25, 0.5, 0.75, 0.37}\",\n",
+    let profiler: Option<Profiler> = None;
+    let snapshot = measure(flags.quick, profiler);
+    let json = snapshot.render(
+        env!("PARSCHED_RUSTC_VERSION"),
+        env!("PARSCHED_OPT_LEVEL"),
+        git_commit().as_deref(),
     );
-    json.push_str(&format!(
-        "  \"isrpt_speedup_vs_legacy_n10000\": {:.2},\n",
-        speedup
-    ));
-    json.push_str(&format!(
-        "  \"isrpt_overload_speedup_vs_legacy_n10000\": {:.2},\n",
-        overload_speedup
-    ));
-    json.push_str(&format!(
-        "  \"isrpt_mixed_alpha_speedup_vs_legacy_n10000\": {:.2},\n",
-        mixed_alpha_speedup
-    ));
-    json.push_str(&format!(
-        "  \"audit_sampled_overhead_n10000\": {:.2},\n",
-        sampled_overhead
-    ));
-    json.push_str(&format!(
-        "  \"audit_strict_overhead_n10000\": {:.2},\n",
-        strict_overhead
-    ));
-    json.push_str(&format!(
-        "  \"kernel_speedup_n1e5\": {kernel_speedup_n1e5:.2},\n"
-    ));
-    json.push_str(&format!("  \"kernel_eval_ns\": {kernel_eval_ns:.2},\n"));
-    json.push_str(&format!("  \"powf_eval_ns\": {powf_eval_ns:.2},\n"));
-    json.push_str(&format!(
-        "  \"hotpath_ns\": {},\n",
-        hotpath_ns.as_deref().unwrap_or("null")
-    ));
-    json.push_str(&format!("  \"sweep_scaling_8c\": {sweep_scaling_8c:.2},\n"));
-    json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
-    // Large-n streaming acceptance numbers: wall-clock and peak RSS for
-    // the n = 10⁷ Poisson run on the streaming path (null in --quick).
-    json.push_str(&format!(
-        "  \"streaming_wall_n1e7\": {},\n",
-        streaming_wall_n1e7
-            .map(|s| format!("{s:.2}"))
-            .unwrap_or_else(|| "null".to_string())
-    ));
-    json.push_str(&format!(
-        "  \"streaming_rss_n1e7\": {},\n",
-        streaming_rss_n1e7
-            .map(|b| b.to_string())
-            .unwrap_or_else(|| "null".to_string())
-    ));
-    json.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"policy\": \"{}\", \"fixture\": \"{}\", \"mode\": \"{}\", \"n\": {}, \
-             \"m\": {}, \"events\": {}, \"seconds\": {:.6}, \"events_per_sec\": {:.0}}}{}\n",
-            r.policy,
-            r.fixture,
-            r.mode,
-            r.n,
-            r.m,
-            r.events,
-            r.seconds,
-            r.events_per_sec,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ]\n}\n");
-    std::fs::write(&out_path, &json).map_err(|e| format!("{out_path}: {e}"))?;
-    println!(
-        "wrote {out_path} ({} rows); Intermediate-SRPT incremental/legacy speed-up at \
-         n=10_000: {:.1}x (load 0.9), {:.1}x (overload), {:.1}x (mixed-alpha); \
-         audit overhead: {:.2}x sampled, {:.2}x strict",
-        rows.len(),
-        speedup,
-        overload_speedup,
-        mixed_alpha_speedup,
-        sampled_overhead,
-        strict_overhead
-    );
+    std::fs::write(out_path, json).map_err(|e| format!("{out_path}: {e}"))?;
+    println!("wrote {out_path} ({})", snapshot.summary());
     Ok(())
 }
 
-/// `parsched lint [--root dir] [--format human|json|sarif]
-/// [--explain L00X <symbol>] [paths...]`.
-///
-/// Returns `Ok(true)` when the tree is clean, `Ok(false)` on violations or
+/// One profiled Intermediate-SRPT run: per-event phase averages from the
+/// engine's `hotpath` profiler. Stamping costs clock reads per phase, so
+/// these numbers compare phases with each other; the unprofiled rows are
+/// the throughput of record.
+#[cfg(feature = "hotpath")]
+fn hotpath_profile(inst: &parsched_sim::Instance, m: f64) -> parsched_bench::snapshot::Phases {
+    use parsched_sim::{Engine, EngineConfig, NullObserver, StaticSource};
+    let mut policy = parsched::IntermediateSrpt::new();
+    let mut src = StaticSource::new(inst);
+    let mut obs = NullObserver;
+    let cfg = EngineConfig::new(m).with_hotpath_profile(true);
+    let mut eng = Engine::new(cfg, &mut policy, &mut src, &mut obs);
+    eng.run_loop().expect("profiled run");
+    let hp = eng.hotpath_totals();
+    let (queue, refresh, metrics, dispatch) = hp.per_event();
+    parsched_bench::snapshot::Phases {
+        queue,
+        refresh,
+        metrics,
+        dispatch,
+        events: hp.events,
+    }
+}
+
 /// `parsched adversary` — the seeded evolutionary hard-instance search
 /// (see `crates/adversary`). One search per target policy; everything on
 /// stdout (trajectories, failures, the t5-style summary table, corpus
@@ -1173,9 +773,10 @@ fn cmd_adversary(flags: &Flags) -> Result<bool, String> {
         run_search, summary_table, CorpusEntry, SearchConfig, KIND_HARD, KIND_REPRODUCER,
     };
 
-    let budget = flags.get_f64("budget", 200.0) as usize;
-    let m = flags.get_f64("m", 4.0);
-    let jobs = flags.get_f64("jobs", 0.0) as usize;
+    let budget = flags.get_count("budget", 200)?;
+    let m = flags.get_positive("m", 4.0)?;
+    let jobs = flags.get_count("jobs", 0)?;
+    let corpus_top = flags.get_count("corpus-top", 2)?;
     let policy_arg = flags.get_str("policy").unwrap_or("all");
     let targets: Vec<(String, PolicyKind)> = if policy_arg == "all" {
         [
@@ -1199,7 +800,7 @@ fn cmd_adversary(flags: &Flags) -> Result<bool, String> {
     let mut results = Vec::new();
     let mut clean = true;
     for (token, kind) in &targets {
-        let mut cfg = SearchConfig::new(*kind, flags.seed, budget);
+        let mut cfg = SearchConfig::new(*kind, flags.seed(), budget);
         cfg.m = m;
         cfg.jobs = jobs;
         let start = std::time::Instant::now();
@@ -1221,7 +822,6 @@ fn cmd_adversary(flags: &Flags) -> Result<bool, String> {
             );
         }
         if let Some(dir) = &emit_dir {
-            let corpus_top = flags.get_f64("corpus-top", 2.0) as usize;
             let mut written = 0usize;
             for (rank, e) in out.elites.iter().take(corpus_top).enumerate() {
                 let instance = e
@@ -1232,7 +832,7 @@ fn cmd_adversary(flags: &Flags) -> Result<bool, String> {
                     kind: KIND_HARD.to_string(),
                     policy: token.clone(),
                     m,
-                    search_seed: flags.seed,
+                    search_seed: flags.seed(),
                     budget,
                     ratio: e.ratio,
                     flow: e.flow,
@@ -1252,7 +852,7 @@ fn cmd_adversary(flags: &Flags) -> Result<bool, String> {
                     kind: KIND_REPRODUCER.to_string(),
                     policy: token.clone(),
                     m,
-                    search_seed: flags.seed,
+                    search_seed: flags.seed(),
                     budget,
                     ratio: 0.0,
                     flow: 0.0,
@@ -1287,24 +887,14 @@ fn cmd_fleet(flags: &Flags) -> Result<bool, String> {
     use parsched_analysis::Pool;
     use parsched_fleet::{FleetConfig, FleetSession, TenantStatus};
 
-    let get_usize = |key: &str, default: usize| -> Result<usize, String> {
-        match flags.get_str(key) {
-            None => Ok(default),
-            Some(v) => v.parse().map_err(|e| format!("bad --{key}: {e}")),
-        }
-    };
-    let tenants_n = get_usize("tenants", 12)?;
-    let cap = get_usize("cap", 8)?;
-    let queue = get_usize("queue", tenants_n)?;
-    let slice = get_usize("slice", 16)? as u64;
-    let jobs = get_usize("jobs", 0)?;
+    let tenants_n = flags.get_count("tenants", 12)?;
+    let cap = flags.get_count("cap", 8)?;
+    let queue = flags.get_count("queue", tenants_n)?;
+    let slice = flags.get_count("slice", 16)? as u64;
+    let jobs = flags.get_count("jobs", 0)?;
     let migrate = flags.get_str("migrate").is_some();
     let json = flags.get_str("json").is_some();
-    let seed = if flags.get_str("seed").is_some() {
-        flags.seed
-    } else {
-        42
-    };
+    let seed = flags.seed.unwrap_or(42);
 
     let cfg = FleetConfig {
         max_in_flight: cap,
@@ -1476,6 +1066,10 @@ fn fleet_report_json(
     .render()
 }
 
+/// `parsched lint [--root dir] [--format human|json|sarif]
+/// [--explain L00X <symbol>] [paths...]`.
+///
+/// Returns `Ok(true)` when the tree is clean, `Ok(false)` on violations or
 /// waiver problems (exit 1), `Err` on usage/IO errors (exit 2). Paths are
 /// workspace-relative prefixes that restrict which files are analyzed.
 fn cmd_lint(args: &[String]) -> Result<bool, String> {
@@ -1594,6 +1188,7 @@ fn main() -> ExitCode {
                     "t3" => "Potential-function analysis verified numerically (§2)",
                     "t4" => "EQUI is 2-competitive for batch release (Edmonds sanity)",
                     "t5" => "Fairness: the stretch trade-off (flow vs starvation)",
+                    "x1" => "Ablation: the greedy hybrid's re-decision quantum",
                     _ => "",
                 };
                 println!("{id}  {res_title}");

@@ -12,7 +12,7 @@ fn list_shows_every_experiment() {
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).expect("utf8");
     for id in [
-        "f1", "f2", "f3", "f4", "f5", "f6", "t1", "t2", "t3", "t4", "t5", "x2", "x3",
+        "f1", "f2", "f3", "f4", "f5", "f6", "t1", "t2", "t3", "t4", "t5", "x1", "x2", "x3",
     ] {
         assert!(text.contains(id), "missing {id} in:\n{text}");
     }
@@ -439,6 +439,22 @@ fn fleet_backpressure_sheds_deterministically_and_exits_1() {
 }
 
 #[test]
+fn fleet_seed_flag_picks_the_tenant_mix() {
+    let fleet = |extra: &[&str]| {
+        let out = bin()
+            .args(["fleet", "--tenants", "4", "--json"])
+            .args(extra)
+            .output()
+            .expect("fleet");
+        assert!(out.status.success());
+        out.stdout
+    };
+    let default = fleet(&[]);
+    assert_eq!(fleet(&["--seed", "42"]), default, "42 is the default seed");
+    assert_ne!(fleet(&["--seed", "7"]), default, "--seed was ignored");
+}
+
+#[test]
 fn fleet_rejects_degenerate_parameters() {
     let out = bin()
         .args(["fleet", "--tenants", "3", "--slice", "0"])
@@ -609,6 +625,57 @@ fn bad_load_exits_2() {
             .output()
             .expect("run");
         assert_rejected(&out, "--load", &format!("run --stream --load {bad}"));
+    }
+}
+
+#[test]
+fn bad_numeric_flags_exit_2_without_a_panic_or_a_default() {
+    // Each flag is validated where it is read: a value that does not
+    // parse, or parses out of range, exits 2 naming the flag. None may
+    // panic, fall back to its default, or saturate.
+    let cases: [(&[&str], &str); 7] = [
+        (&["compare", "--n", "20", "--alpha", "nan"], "--alpha"),
+        (&["compare", "--n", "20", "--p", "-5"], "--p"),
+        (
+            &[
+                "adversary",
+                "--policy",
+                "isrpt",
+                "--budget",
+                "4",
+                "--m",
+                "nan",
+            ],
+            "--m",
+        ),
+        (
+            &[
+                "adversary",
+                "--policy",
+                "isrpt",
+                "--budget",
+                "4",
+                "--m",
+                "-3",
+            ],
+            "--m",
+        ),
+        (
+            &["adversary", "--policy", "isrpt", "--budget", "1e30"],
+            "--budget",
+        ),
+        (&["gen", "--kind", "poisson", "--n", "abc"], "--n"),
+        (&["gen", "--kind", "poisson", "--n", "-7"], "--n"),
+    ];
+    for (args, flag) in cases {
+        let out = bin().args(args).output().expect("run");
+        let ctx = args.join(" ");
+        assert!(out.stdout.is_empty(), "{ctx}: printed output");
+        assert!(
+            !String::from_utf8_lossy(&out.stderr).contains("panicked"),
+            "{ctx}"
+        );
+        assert_rejected(&out, flag, &ctx);
     }
 }
 

@@ -49,11 +49,6 @@ impl PhaseTotals {
         events: 0,
     };
 
-    /// Whether anything was measured.
-    pub fn is_empty(&self) -> bool {
-        self.events == 0
-    }
-
     /// Per-event averages `(queue, refresh, metrics, dispatch)` in ns.
     pub fn per_event(&self) -> (f64, f64, f64, f64) {
         let n = (self.events as f64).max(1.0);

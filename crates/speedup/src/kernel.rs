@@ -42,12 +42,6 @@ enum Kind {
     ThreeQuarters,
     /// General `α`: double-double `ln` table + `exp`.
     General,
-    /// Benchmark control: route every call through `f64::powf`, skipping
-    /// the classified fast paths. Only built by
-    /// [`PowKernel::powf_reference`]; exists so `bench-snapshot` can A/B
-    /// the kernel against the per-call `powf` it replaced on the same
-    /// binary (`kernel_speedup_n1e5` in BENCH_engine.json).
-    Reference,
 }
 
 /// A compiled evaluator for `x^α`, constructed once per distinct exponent.
@@ -208,20 +202,6 @@ impl PowKernel {
         }
     }
 
-    /// A deliberately slow kernel that evaluates every call through
-    /// `f64::powf` — the pre-kernel hot-loop cost. Used as the baseline
-    /// of the `kernel_speedup_n1e5` micro-measurement and by differential
-    /// tests; never constructed by [`Curve::kernel`].
-    #[inline]
-    pub fn powf_reference(alpha: f64) -> Self {
-        debug_assert!((0.0..=1.0).contains(&alpha), "alpha out of range: {alpha}");
-        PowKernel {
-            alpha,
-            inv_alpha: 1.0 / alpha,
-            kind: Kind::Reference,
-        }
-    }
-
     /// The kernel for a power-family [`Curve`] (`FullyParallel` ≡ α = 1,
     /// `Sequential` ≡ α = 0), or `None` for shapes outside the power family
     /// (Amdahl, piecewise), which keep their own evaluators.
@@ -234,12 +214,6 @@ impl PowKernel {
     #[inline]
     pub fn alpha(&self) -> f64 {
         self.alpha
-    }
-
-    /// Cached `1/α` (`+∞` when α = 0).
-    #[inline]
-    pub fn inv_alpha(&self) -> f64 {
-        self.inv_alpha
     }
 
     /// Raw power `x^α` for `x > 0`.
@@ -263,7 +237,6 @@ impl PowKernel {
             Kind::Quarter => x.sqrt().sqrt(),
             Kind::ThreeQuarters => (x * x.sqrt()).sqrt(),
             Kind::General => self.eval_general(x),
-            Kind::Reference => x.powf(self.alpha),
         }
     }
 
@@ -299,113 +272,7 @@ impl PowKernel {
             }
             // r^{4/3} = r · ∛r (cbrt is a hardware/libm primitive).
             Kind::ThreeQuarters => r * r.cbrt(),
-            Kind::General | Kind::Reference => r.powf(self.inv_alpha),
-        }
-    }
-
-    /// Batched [`PowKernel::eval`]: `out[i] = self.eval(xs[i])`.
-    ///
-    /// Bit-identical to `N` scalar calls — each per-kind loop body *is* the
-    /// scalar body — but the kind dispatch is hoisted out of the loop, so
-    /// the sqrt-chain and endpoint kinds compile to straight-line slice
-    /// loops the autovectorizer can widen (the general DD ln-table path
-    /// stays scalar per element; its table gather defeats vectorization,
-    /// and bit-identity matters more than width there).
-    ///
-    /// # Panics
-    /// If `xs` and `out` differ in length.
-    pub fn eval_batch(&self, xs: &[f64], out: &mut [f64]) {
-        assert_eq!(xs.len(), out.len(), "eval_batch slice length mismatch");
-        match self.kind {
-            Kind::Zero => {
-                for (o, &x) in out.iter_mut().zip(xs) {
-                    *o = if x.is_nan() { x.powf(self.alpha) } else { 1.0 };
-                }
-            }
-            Kind::One => out.copy_from_slice(xs),
-            Kind::Half => {
-                for (o, &x) in out.iter_mut().zip(xs) {
-                    *o = x.sqrt();
-                }
-            }
-            Kind::Quarter => {
-                for (o, &x) in out.iter_mut().zip(xs) {
-                    *o = x.sqrt().sqrt();
-                }
-            }
-            Kind::ThreeQuarters => {
-                for (o, &x) in out.iter_mut().zip(xs) {
-                    *o = (x * x.sqrt()).sqrt();
-                }
-            }
-            Kind::General => {
-                for (o, &x) in out.iter_mut().zip(xs) {
-                    *o = self.eval_general(x);
-                }
-            }
-            Kind::Reference => {
-                for (o, &x) in out.iter_mut().zip(xs) {
-                    *o = x.powf(self.alpha);
-                }
-            }
-        }
-    }
-
-    /// Batched [`PowKernel::gamma`]: `out[i] = self.gamma(xs[i])`,
-    /// bit-identical to `N` scalar calls (see [`PowKernel::eval_batch`] for
-    /// the vectorization contract). The knee test `x ≤ 1` stays inside the
-    /// per-element loop — it is a branchless select in the vectorized
-    /// kinds — so mixed below/above-knee batches are handled exactly.
-    ///
-    /// # Panics
-    /// If `xs` and `out` differ in length.
-    pub fn gamma_batch(&self, xs: &[f64], out: &mut [f64]) {
-        assert_eq!(xs.len(), out.len(), "gamma_batch slice length mismatch");
-        match self.kind {
-            // x ≤ 1 ⇒ x, else 1 (NaN defers to powf like the scalar path).
-            Kind::Zero => {
-                for (o, &x) in out.iter_mut().zip(xs) {
-                    debug_assert!(x >= 0.0, "negative processor allocation: {x}");
-                    *o = if x <= 1.0 {
-                        x
-                    } else if x.is_nan() {
-                        x.powf(self.alpha)
-                    } else {
-                        1.0
-                    };
-                }
-            }
-            Kind::One => out.copy_from_slice(xs),
-            Kind::Half => {
-                for (o, &x) in out.iter_mut().zip(xs) {
-                    debug_assert!(x >= 0.0, "negative processor allocation: {x}");
-                    *o = if x <= 1.0 { x } else { x.sqrt() };
-                }
-            }
-            Kind::Quarter => {
-                for (o, &x) in out.iter_mut().zip(xs) {
-                    debug_assert!(x >= 0.0, "negative processor allocation: {x}");
-                    *o = if x <= 1.0 { x } else { x.sqrt().sqrt() };
-                }
-            }
-            Kind::ThreeQuarters => {
-                for (o, &x) in out.iter_mut().zip(xs) {
-                    debug_assert!(x >= 0.0, "negative processor allocation: {x}");
-                    *o = if x <= 1.0 { x } else { (x * x.sqrt()).sqrt() };
-                }
-            }
-            Kind::General => {
-                for (o, &x) in out.iter_mut().zip(xs) {
-                    debug_assert!(x >= 0.0, "negative processor allocation: {x}");
-                    *o = if x <= 1.0 { x } else { self.eval_general(x) };
-                }
-            }
-            Kind::Reference => {
-                for (o, &x) in out.iter_mut().zip(xs) {
-                    debug_assert!(x >= 0.0, "negative processor allocation: {x}");
-                    *o = if x <= 1.0 { x } else { x.powf(self.alpha) };
-                }
-            }
+            Kind::General => r.powf(self.inv_alpha),
         }
     }
 
@@ -617,43 +484,13 @@ mod tests {
         assert!(PowKernel::for_curve(&Curve::try_amdahl(0.25).unwrap()).is_none());
     }
 
-    /// Every kernel class the classifier can produce, including the two
-    /// exact endpoints, all three sqrt chains, the general table path, and
-    /// the powf reference arm.
+    /// Every kernel class the classifier can produce: the two exact
+    /// endpoints, all three sqrt chains, and the general table path.
     fn all_class_kernels() -> Vec<PowKernel> {
-        let mut ks: Vec<PowKernel> = [0.0, 0.25, 0.5, 0.75, 1.0, 0.37, 1.0 / 3.0, 0.999]
+        [0.0, 0.25, 0.5, 0.75, 1.0, 0.37, 1.0 / 3.0, 0.999]
             .iter()
             .map(|&a| PowKernel::new(a))
-            .collect();
-        ks.push(PowKernel::powf_reference(0.6));
-        ks
-    }
-
-    #[test]
-    fn batch_apis_handle_empty_singleton_odd_and_large_lengths() {
-        for k in all_class_kernels() {
-            for n in [0usize, 1, 7, 1023] {
-                let xs: Vec<f64> = (0..n)
-                    .map(|i| 0.5 + (i as f64) * (1.5 + i as f64 * 0.37))
-                    .collect();
-                let mut got = vec![f64::NAN; n];
-                k.eval_batch(&xs, &mut got);
-                for (&x, &g) in xs.iter().zip(&got) {
-                    assert_eq!(g.to_bits(), k.eval(x).to_bits(), "eval α={}", k.alpha());
-                }
-                k.gamma_batch(&xs, &mut got);
-                for (&x, &g) in xs.iter().zip(&got) {
-                    assert_eq!(g.to_bits(), k.gamma(x).to_bits(), "gamma α={}", k.alpha());
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "length mismatch")]
-    fn batch_apis_reject_mismatched_lengths() {
-        let mut out = [0.0; 2];
-        PowKernel::new(0.5).gamma_batch(&[1.0, 2.0, 3.0], &mut out);
+            .collect()
     }
 
     #[test]
@@ -674,61 +511,6 @@ mod tests {
     }
 
     proptest::proptest! {
-        #[test]
-        fn gamma_batch_bit_identical_to_scalar_general_alpha(
-            alpha in 0.000001f64..0.999999,
-            mant in 1.0f64..2.0,
-            exp in 0u32..40,
-            len in 0usize..33,
-        ) {
-            // Log-uniform base point x ∈ [1, 2^40); the batch fans out a
-            // deterministic spread around it (and dips below the knee) so
-            // one case covers many magnitudes at once.
-            let x = mant * f64::from(2u32).powi(
-                i32::try_from(exp).expect("exp < 40 fits i32"));
-            let xs: Vec<f64> = (0..len)
-                .map(|i| {
-                    let t = i as f64 / 8.0;
-                    if i % 4 == 3 { t.min(1.0) * 0.9 } else { x * (1.0 + t) }
-                })
-                .collect();
-            let k = PowKernel::new(alpha);
-            let mut out = vec![0.0; xs.len()];
-            k.gamma_batch(&xs, &mut out);
-            for (&xi, &g) in xs.iter().zip(&out) {
-                proptest::prop_assert_eq!(g.to_bits(), k.gamma(xi).to_bits());
-            }
-            k.eval_batch(&xs, &mut out);
-            for (&xi, &g) in xs.iter().zip(&out) {
-                proptest::prop_assert_eq!(g.to_bits(), k.eval(xi).to_bits());
-            }
-        }
-
-        #[test]
-        fn gamma_batch_bit_identical_on_classified_kernels(
-            class in 0usize..6,
-            mant in 1.0f64..2.0,
-            exp in 0u32..40,
-        ) {
-            // The endpoint and sqrt-chain classes, plus the reference arm.
-            let k = match class {
-                0 => PowKernel::new(0.0),
-                1 => PowKernel::new(1.0),
-                2 => PowKernel::new(0.5),
-                3 => PowKernel::new(0.25),
-                4 => PowKernel::new(0.75),
-                _ => PowKernel::powf_reference(0.5),
-            };
-            let x = mant * f64::from(2u32).powi(
-                i32::try_from(exp).expect("exp < 40 fits i32"));
-            let xs = [0.0, 0.5, 1.0, x, x * 1.0000001, x * 2.0];
-            let mut out = [0.0; 6];
-            k.gamma_batch(&xs, &mut out);
-            for (&xi, &g) in xs.iter().zip(&out) {
-                proptest::prop_assert_eq!(g.to_bits(), k.gamma(xi).to_bits());
-            }
-        }
-
         #[test]
         fn eval_matches_powf_within_2_ulp(
             alpha in 0.000001f64..0.999999,
